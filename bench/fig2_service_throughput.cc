@@ -5,10 +5,12 @@
 // Two parts:
 //
 //  (1) A native single-threaded microbenchmark of the real EunomiaCore
-//      (red-black-tree ingest + periodic stable extraction): this measures
-//      the actual §6 C++ data path and confirms the paper's observation
-//      that "the bottleneck of our Eunomia implementation is the propagation
-//      to other geo-locations rather than the handling of operations".
+//      (ordered-buffer ingest + periodic stable extraction): this measures
+//      the C++ data path and confirms the paper's observation that "the
+//      bottleneck of our Eunomia implementation is the propagation to other
+//      geo-locations rather than the handling of operations". The §6
+//      red-black-vs-AVL-vs-run-queue buffer comparison lives in
+//      ablation_ordered_buffer (BM_OrdBuf{RbTree,Avl,PartitionRun}).
 //
 //  (2) The §7.1 experiment itself, run on the deterministic simulator:
 //      clients connect directly to the services, bypassing the data store
@@ -26,10 +28,8 @@
 // to 75 partitions.
 // A third part measures the *native multithreaded service* (the sharded
 // stabilizer pipeline): producers race a fixed op count into EunomiaService
-// across num_shards and ordered-buffer backends (the §6 red-black tree, the
-// AVL also-ran, and the Property-2 run-queue fast path) and we report
-// stabilized ops/sec — the scaling curve the sharding refactor buys plus the
-// speedup the buffer policy buys on top. The scan is also emitted as
+// across num_shards and we report stabilized ops/sec — the scaling curve
+// the sharding buys. The scan is also emitted as
 // machine-readable BENCH_fig2.json (in the working directory) so CI can
 // archive the perf trajectory PR-over-PR. `--smoke` runs only that part
 // with a tiny op count (CI exercises the pipeline on every push).
@@ -55,8 +55,6 @@
 #include "src/eunomia/service.h"
 #include "src/net/epoll_transport.h"
 #include "src/net/loopback_transport.h"
-#include "src/net/tcp_transport.h"
-#include "src/ordbuf/ordered_buffer.h"
 #include "src/harness/table.h"
 #include "src/sim/network.h"
 #include "src/sim/server.h"
@@ -69,10 +67,10 @@ using harness::Table;
 
 // --- part 1: native EunomiaCore microbenchmark -------------------------------
 
-double MeasureCoreIngest(ordbuf::Backend backend) {
+double MeasureCoreIngest() {
   constexpr std::uint32_t kParts = 60;
   constexpr std::uint64_t kOps = 2'000'000;
-  EunomiaCore core(kParts, 0, backend);
+  EunomiaCore core(kParts);
   std::vector<Timestamp> next(kParts, 1);
   std::vector<OpRecord> out;
   out.reserve(1 << 16);
@@ -238,17 +236,14 @@ double SimulateSequencer(std::uint32_t clients) {
   return static_cast<double>(granted) / (static_cast<double>(kRunUs) / 1e6);
 }
 
-// --- part 3: native sharded-service scaling x buffer backend -----------------
+// --- part 3: native sharded-service scaling ----------------------------------
 
 struct ScanPoint {
-  ordbuf::Backend backend;
   std::uint32_t shards;
   double ops_per_sec;
   // "inproc" for direct SubmitBatch calls, else the net transport used.
   const char* transport = "inproc";
   double ack_mean_us = -1.0;  // mean batch-ack round trip; < 0 = n/a
-  // TCP I/O backend ("epoll" or "threaded"); empty for non-TCP points.
-  const char* io = "";
   // Batch-ack round-trip percentiles (bucket upper bounds); < 0 = n/a.
   double ack_p50_us = -1.0;
   double ack_p95_us = -1.0;
@@ -259,7 +254,7 @@ struct ScanPoint {
 };
 
 // The machine-readable perf-trajectory artifact CI archives on every push:
-// stabilized throughput per (buffer backend, shard count).
+// stabilized throughput per (transport, shard count).
 void WriteBenchJson(const char* path, bool smoke,
                     const std::vector<ScanPoint>& points,
                     const bench::FixedLoad& load) {
@@ -271,21 +266,16 @@ void WriteBenchJson(const char* path, bool smoke,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"figure\": \"fig2_service_throughput\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"default_backend\": \"%s\",\n",
-               ordbuf::BackendName(ordbuf::Backend::kPartitionRun));
   std::fprintf(f, "  \"num_partitions\": %u,\n", load.num_partitions);
   std::fprintf(f, "  \"ops_per_partition\": %llu,\n",
                static_cast<unsigned long long>(load.ops_per_partition));
   std::fprintf(f, "  \"series\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"shards\": %u, "
-                 "\"transport\": \"%s\", \"mops_per_s\": %.3f",
-                 ordbuf::BackendName(points[i].backend), points[i].shards,
-                 points[i].transport, points[i].ops_per_sec / 1e6);
-    if (points[i].io[0] != '\0') {
-      std::fprintf(f, ", \"io\": \"%s\"", points[i].io);
-    }
+                 "    {\"shards\": %u, \"transport\": \"%s\", "
+                 "\"mops_per_s\": %.3f",
+                 points[i].shards, points[i].transport,
+                 points[i].ops_per_sec / 1e6);
     if (points[i].ack_mean_us >= 0.0) {
       std::fprintf(f, ", \"ack_mean_us\": %.1f", points[i].ack_mean_us);
     }
@@ -322,52 +312,28 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
   const std::vector<std::uint32_t> shard_counts =
       smoke ? std::vector<std::uint32_t>{1u, 4u}
             : std::vector<std::uint32_t>{1u, 2u, 4u, 8u};
-  // The three-way ordered-buffer comparison end-to-end; smoke keeps CI cheap
-  // with the two backends the equivalence test pins against each other.
-  const std::vector<ordbuf::Backend> backends =
-      smoke ? std::vector<ordbuf::Backend>{ordbuf::Backend::kRbTree,
-                                           ordbuf::Backend::kPartitionRun}
-            : std::vector<ordbuf::Backend>{ordbuf::Backend::kRbTree,
-                                           ordbuf::Backend::kAvl,
-                                           ordbuf::Backend::kPartitionRun};
   std::printf(
       "\nnative sharded stabilizer pipeline: %u producer partitions race "
-      "%llu ops each\n(buffer backend x num_shards; speedups vs the rbtree "
-      "1-shard baseline)\n",
+      "%llu ops each\n(speedups vs the 1-shard baseline)\n",
       load.num_partitions,
       static_cast<unsigned long long>(load.ops_per_partition));
-  Table table({"buffer", "num_shards", "stabilized (kops/s)", "speedup"});
-  double rbtree_1shard = 0.0;
-  double runqueue_1shard = 0.0;
+  Table table({"num_shards", "stabilized (kops/s)", "speedup"});
+  double one_shard = 0.0;
   bool all_converged = true;
-  for (const ordbuf::Backend backend : backends) {
-    for (const std::uint32_t shards : shard_counts) {
-      const double rate =
-          bench::MeasureShardedThroughput(shards, load, 200, backend);
-      if (rate <= 0.0) {
-        all_converged = false;
-      }
-      if (backend == ordbuf::Backend::kRbTree && shards == 1) {
-        rbtree_1shard = rate;
-      }
-      if (backend == ordbuf::Backend::kPartitionRun && shards == 1) {
-        runqueue_1shard = rate;
-      }
-      points->push_back({backend, shards, rate, "inproc", -1.0});
-      table.AddRow({ordbuf::BackendName(backend), Table::Num(shards, 0),
-                    Table::Num(rate / 1000.0, 0),
-                    rbtree_1shard > 0
-                        ? Table::Num(rate / rbtree_1shard, 2) + "x"
-                        : "n/a"});
+  for (const std::uint32_t shards : shard_counts) {
+    const double rate = bench::MeasureShardedThroughput(shards, load);
+    if (rate <= 0.0) {
+      all_converged = false;
     }
+    if (shards == 1) {
+      one_shard = rate;
+    }
+    points->push_back({shards, rate, "inproc", -1.0});
+    table.AddRow({Table::Num(shards, 0), Table::Num(rate / 1000.0, 0),
+                  one_shard > 0 ? Table::Num(rate / one_shard, 2) + "x"
+                                : "n/a"});
   }
   table.Print();
-  if (rbtree_1shard > 0 && runqueue_1shard > 0) {
-    std::printf(
-        "\nsingle-shard ordered-buffer speedup (partition_run vs rbtree): "
-        "%.2fx\n",
-        runqueue_1shard / rbtree_1shard);
-  }
   if (!all_converged) {
     std::printf("ERROR: a shard configuration did not stabilize its load\n");
   }
@@ -378,21 +344,18 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
 
 // `kind` is "tcp" (real loopback sockets) or "loopback" (the in-process
 // transport backend — same wire format and session layer, no kernel).
-// One client connection per partition; the partition_run backend (the
-// default everywhere) behind the service.
+// One client connection per partition.
 bool RunTransportScan(const std::string& kind, bool smoke,
-                      net::TcpBackend io, std::vector<ScanPoint>* points) {
+                      std::vector<ScanPoint>* points) {
   const bench::FixedLoad load = MakeScanLoad(smoke);
   const std::vector<std::uint32_t> shard_counts =
       smoke ? std::vector<std::uint32_t>{1u, 4u}
             : std::vector<std::uint32_t>{1u, 2u, 4u, 8u};
-  const char* io_label = kind == "tcp" ? net::TcpBackendName(io) : "";
   std::printf(
-      "\nnetworked service (%s transport%s%s): %u client connections race "
+      "\nnetworked service (%s transport): %u client connections race "
       "%llu ops each\nthrough net::EunomiaClient -> eunomiad-style "
-      "net::EunomiaServer (partition_run buffer)\n",
-      kind.c_str(), kind == "tcp" ? ", io=" : "", io_label,
-      load.num_partitions,
+      "net::EunomiaServer\n",
+      kind.c_str(), load.num_partitions,
       static_cast<unsigned long long>(load.ops_per_partition));
   Table table({"transport", "num_shards", "stabilized (kops/s)",
                "ack mean (us)", "ack p95 (us)", "ack max (us)"});
@@ -415,7 +378,7 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     // Fresh transport per run: EunomiaServer::Stop shuts its transport down.
     bench::TransportRunResult result;
     if (kind == "tcp") {
-      std::unique_ptr<net::Transport> transport = net::MakeTcpTransport(io);
+      net::EpollTransport transport;
       std::atomic<bool> done{false};
       std::thread scraper([&metrics_address, &last_scrape, &done] {
         while (!done.load(std::memory_order_relaxed)) {
@@ -428,8 +391,8 @@ bool RunTransportScan(const std::string& kind, bool smoke,
         }
       });
       result = bench::MeasureTransportThroughput(
-          *transport, "127.0.0.1:0", shards, load, 200,
-          ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
+          transport, "127.0.0.1:0", shards, load, 200,
+          &metrics::Registry::Default());
       done.store(true, std::memory_order_relaxed);
       scraper.join();
     } else {
@@ -440,10 +403,9 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     if (result.ops_per_sec <= 0.0) {
       all_converged = false;
     }
-    ScanPoint point{ordbuf::Backend::kPartitionRun, shards, result.ops_per_sec,
+    ScanPoint point{shards, result.ops_per_sec,
                     kind == "tcp" ? "tcp" : "loopback",
                     result.ack_latency_us.Mean()};
-    point.io = io_label;
     point.ack_p50_us =
         static_cast<double>(result.ack_latency_us.Percentile(50));
     point.ack_p95_us =
@@ -475,10 +437,10 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     const std::uint32_t shards = shard_counts.back();
     bench::TransportRunResult result;
     if (kind == "tcp") {
-      std::unique_ptr<net::Transport> transport = net::MakeTcpTransport(io);
+      net::EpollTransport transport;
       result = bench::MeasureTransportThroughput(
-          *transport, "127.0.0.1:0", shards, paced, 200,
-          ordbuf::Backend::kPartitionRun, &metrics::Registry::Default());
+          transport, "127.0.0.1:0", shards, paced, 200,
+          &metrics::Registry::Default());
     } else {
       net::LoopbackTransport transport;
       result = bench::MeasureTransportThroughput(transport, "fig2-paced",
@@ -487,10 +449,9 @@ bool RunTransportScan(const std::string& kind, bool smoke,
     if (result.ops_per_sec <= 0.0) {
       all_converged = false;
     }
-    ScanPoint point{ordbuf::Backend::kPartitionRun, shards, result.ops_per_sec,
+    ScanPoint point{shards, result.ops_per_sec,
                     kind == "tcp" ? "tcp" : "loopback",
                     result.ack_latency_us.Mean()};
-    point.io = io_label;
     point.paced = true;
     point.ack_p50_us =
         static_cast<double>(result.ack_latency_us.Percentile(50));
@@ -537,7 +498,7 @@ bool RunTransportScan(const std::string& kind, bool smoke,
   return all_converged;
 }
 
-int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
+int Run(bool smoke, const std::string& transport) {
   harness::PrintBanner(
       "Figure 2: maximum throughput, Eunomia vs a synchronous sequencer",
       "clients connect directly to the services (each client = one "
@@ -547,25 +508,20 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
   if (smoke) {
     bool ok = RunShardScan(/*smoke=*/true, &points);
     if (transport != "inproc") {
-      ok = RunTransportScan(transport, /*smoke=*/true, io, &points) && ok;
+      ok = RunTransportScan(transport, /*smoke=*/true, &points) && ok;
     }
     WriteBenchJson("BENCH_fig2.json", /*smoke=*/true, points,
                    MakeScanLoad(true));
     return ok ? 0 : 1;
   }
 
-  const double rbtree_core = MeasureCoreIngest(ordbuf::Backend::kRbTree);
-  const double runqueue_core =
-      MeasureCoreIngest(ordbuf::Backend::kPartitionRun);
   std::printf(
-      "\nnative EunomiaCore ingest+stabilize rate:\n"
-      "  rbtree (the paper's §6 buffer): %.1f Mops/s\n"
-      "  partition_run (Property-2 run queues): %.1f Mops/s (%.2fx)\n"
+      "\nnative EunomiaCore ingest+stabilize rate: %.1f Mops/s\n"
       "=> the ordering core is ~2 orders of magnitude faster than "
       "the end-to-end service;\n   the bottleneck is message handling and "
-      "propagation, as §7.1 observes.\n",
-      rbtree_core / 1e6, runqueue_core / 1e6,
-      rbtree_core > 0 ? runqueue_core / rbtree_core : 0.0);
+      "propagation, as §7.1 observes.\n   (the §6 ordered-buffer comparison: "
+      "ablation_ordered_buffer)\n",
+      MeasureCoreIngest() / 1e6);
 
   Table table({"partitions/clients", "Eunomia (kops/s)", "Sequencer (kops/s)",
                "ratio"});
@@ -588,7 +544,7 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
 
   bool ok = RunShardScan(/*smoke=*/false, &points);
   if (transport != "inproc") {
-    ok = RunTransportScan(transport, /*smoke=*/false, io, &points) && ok;
+    ok = RunTransportScan(transport, /*smoke=*/false, &points) && ok;
   }
   WriteBenchJson("BENCH_fig2.json", /*smoke=*/false, points,
                  MakeScanLoad(false));
@@ -599,7 +555,7 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
 }  // namespace eunomia
 
 int main(int argc, char** argv) {
-  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport", "io"});
+  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport"});
   if (!flags.ok()) {
     return flags.FailUsage();
   }
@@ -610,11 +566,5 @@ int main(int argc, char** argv) {
                  transport.c_str());
     return 2;
   }
-  eunomia::net::TcpBackend io = eunomia::net::TcpBackend::kEpoll;
-  if (!eunomia::net::ParseTcpBackend(flags.Get("io", "epoll"), &io)) {
-    std::fprintf(stderr, "--io must be epoll or threaded (got '%s')\n",
-                 flags.Get("io", "epoll").c_str());
-    return 2;
-  }
-  return eunomia::Run(flags.smoke(), transport, io);
+  return eunomia::Run(flags.smoke(), transport);
 }

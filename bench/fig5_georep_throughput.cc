@@ -38,7 +38,6 @@
 #include "src/harness/table.h"
 #include "src/net/loopback_transport.h"
 #include "src/net/epoll_transport.h"
-#include "src/net/tcp_transport.h"
 #include "src/workload/workload.h"
 
 namespace eunomia {
@@ -54,7 +53,6 @@ struct SeriesPoint {
   std::string transport;  // "sim", "tcp" or "loopback"
   double ops_per_s = 0.0;
   double vis_p95_ms = -1.0;  // remote visibility (artificial/applied delay)
-  std::string io;  // TCP I/O backend ("epoll"/"threaded"); empty otherwise
 };
 
 void WriteBenchJson(const char* path, bool smoke,
@@ -76,9 +74,6 @@ void WriteBenchJson(const char* path, bool smoke,
                  points[i].transport.c_str(), points[i].ops_per_s);
     if (points[i].vis_p95_ms >= 0.0) {
       std::fprintf(f, ", \"vis_p95_ms\": %.2f", points[i].vis_p95_ms);
-    }
-    if (!points[i].io.empty()) {
-      std::fprintf(f, ", \"io\": \"%s\"", points[i].io.c_str());
     }
     std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }
@@ -143,7 +138,7 @@ bool RunSimPart(bool smoke, std::vector<SeriesPoint>* points) {
         row.push_back(Table::Num(result.throughput_ops_s, 0));
         points->push_back({harness::SystemName(kind), wl::MixLabel(workload),
                            "sim", result.throughput_ops_s,
-                           result.vis_p95_ms, /*io=*/""});
+                           result.vis_p95_ms});
         if (result.throughput_ops_s <= 0.0) {
           sane = false;
         }
@@ -182,8 +177,7 @@ struct TransportRunResult {
 // Closed-loop clients against a live multi-DC GeoNode deployment: each
 // client chains op -> done -> next op (one update every 1/update_ratio
 // ops), for a wall-clock measurement window.
-TransportRunResult RunGeoNodes(const std::string& kind, bool smoke,
-                               net::TcpBackend io) {
+TransportRunResult RunGeoNodes(const std::string& kind, bool smoke) {
   geo::GeoConfig config;
   config.num_dcs = 3;
   config.partitions_per_dc = smoke ? 4 : 8;
@@ -205,7 +199,7 @@ TransportRunResult RunGeoNodes(const std::string& kind, bool smoke,
   if (kind == "loopback") {
     shared_loopback = std::make_shared<net::LoopbackTransport>();
   }
-  std::vector<std::unique_ptr<net::Transport>> transports;
+  std::vector<std::unique_ptr<net::EpollTransport>> transports;
   std::vector<std::unique_ptr<geo::rt::GeoNode>> nodes;
   std::vector<std::string> addresses;
   for (DatacenterId m = 0; m < config.num_dcs; ++m) {
@@ -213,7 +207,7 @@ TransportRunResult RunGeoNodes(const std::string& kind, bool smoke,
     if (shared_loopback != nullptr) {
       transport = shared_loopback.get();
     } else {
-      transports.push_back(net::MakeTcpTransport(io));
+      transports.push_back(std::make_unique<net::EpollTransport>());
       transport = transports.back().get();
     }
     nodes.push_back(std::make_unique<geo::rt::GeoNode>(
@@ -306,13 +300,12 @@ TransportRunResult RunGeoNodes(const std::string& kind, bool smoke,
 }
 
 bool RunTransportPart(const std::string& kind, bool smoke,
-                      net::TcpBackend io, std::vector<SeriesPoint>* points) {
+                      std::vector<SeriesPoint>* points) {
   std::printf(
-      "\nreal geo-replication runtime (%s transport%s%s): 3 GeoNodes, "
+      "\nreal geo-replication runtime (%s transport): 3 GeoNodes, "
       "closed-loop 90:10 clients at every DC\n",
-      kind.c_str(), kind == "tcp" ? ", io=" : "",
-      kind == "tcp" ? net::TcpBackendName(io) : "");
-  const TransportRunResult result = RunGeoNodes(kind, smoke, io);
+      kind.c_str());
+  const TransportRunResult result = RunGeoNodes(kind, smoke);
   Table table({"transport", "ops/s (aggregate)", "remote applies",
                "vis p50 (ms)", "vis p95 (ms)"});
   table.AddRow({kind, Table::Num(result.ops_per_s, 0),
@@ -321,8 +314,7 @@ bool RunTransportPart(const std::string& kind, bool smoke,
                 Table::Num(result.vis_p95_ms, 2)});
   table.Print();
   points->push_back({"EunomiaKV", "90:10 U", kind, result.ops_per_s,
-                     result.vis_p95_ms,
-                     kind == "tcp" ? net::TcpBackendName(io) : ""});
+                     result.vis_p95_ms});
   if (result.ops_per_s <= 0.0 || result.remote_applied == 0 ||
       result.wire_errors != 0) {
     std::printf(
@@ -336,11 +328,11 @@ bool RunTransportPart(const std::string& kind, bool smoke,
   return true;
 }
 
-int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
+int Run(bool smoke, const std::string& transport) {
   std::vector<SeriesPoint> points;
   bool ok = RunSimPart(smoke, &points);
   if (transport != "sim") {
-    ok = RunTransportPart(transport, smoke, io, &points) && ok;
+    ok = RunTransportPart(transport, smoke, &points) && ok;
   }
   WriteBenchJson("BENCH_fig5.json", smoke, points);
   return ok ? 0 : 1;
@@ -350,7 +342,7 @@ int Run(bool smoke, const std::string& transport, net::TcpBackend io) {
 }  // namespace eunomia
 
 int main(int argc, char** argv) {
-  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport", "io"});
+  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport"});
   if (!flags.ok()) {
     return flags.FailUsage();
   }
@@ -361,11 +353,5 @@ int main(int argc, char** argv) {
                  transport.c_str());
     return 2;
   }
-  eunomia::net::TcpBackend io = eunomia::net::TcpBackend::kEpoll;
-  if (!eunomia::net::ParseTcpBackend(flags.Get("io", "epoll"), &io)) {
-    std::fprintf(stderr, "--io must be epoll or threaded (got '%s')\n",
-                 flags.Get("io", "epoll").c_str());
-    return 2;
-  }
-  return eunomia::Run(flags.smoke(), transport, io);
+  return eunomia::Run(flags.smoke(), transport);
 }

@@ -33,15 +33,12 @@ struct TransportRunResult {
 inline TransportRunResult MeasureTransportThroughput(
     net::Transport& transport, const std::string& listen_address,
     std::uint32_t num_shards, const FixedLoad& load,
-    std::uint64_t stable_period_us = 200,
-    ordbuf::Backend backend = ordbuf::Backend::kPartitionRun,
-    metrics::Registry* metrics = nullptr) {
+    std::uint64_t stable_period_us = 200, metrics::Registry* metrics = nullptr) {
   TransportRunResult result;
   net::EunomiaServer::Options options;
   options.num_partitions = load.num_partitions;
   options.num_shards = num_shards;
   options.stable_period_us = stable_period_us;
-  options.buffer_backend = backend;
   // When set, the server + service register their series here (the net
   // layer's frame counters are always on in Registry::Default()); the CI
   // fig2 TCP smoke scrapes this mid-run into a .prom artifact.

@@ -160,16 +160,14 @@ double MeasureStabilizedThroughput(Service& service, const FixedLoad& load) {
 }
 
 // Convenience wrapper: native EunomiaService with `num_shards` stabilizer
-// workers and the given ordered-buffer backend behind each shard core.
-inline double MeasureShardedThroughput(
-    std::uint32_t num_shards, const FixedLoad& load,
-    std::uint64_t stable_period_us = 200,
-    ordbuf::Backend backend = ordbuf::Backend::kPartitionRun) {
+// workers.
+inline double MeasureShardedThroughput(std::uint32_t num_shards,
+                                       const FixedLoad& load,
+                                       std::uint64_t stable_period_us = 200) {
   EunomiaService::Options options;
   options.num_partitions = load.num_partitions;
   options.num_shards = num_shards;
   options.stable_period_us = stable_period_us;
-  options.buffer_backend = backend;
   EunomiaService service(options);
   return MeasureStabilizedThroughput(service, load);
 }

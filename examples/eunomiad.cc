@@ -6,7 +6,7 @@
 // FIFO links and push batched operations; the stable stream comes back in
 // global (ts, partition) order). Remote partitions use net::EunomiaClient.
 //
-//   eunomiad --port=7777 --partitions=16 --shards=4 --buffer=partition_run
+//   eunomiad --port=7777 --partitions=16 --shards=4
 //   eunomiad --ft --replicas=3 --partitions=8
 //
 // Flags:
@@ -14,7 +14,6 @@
 //   --port=N           listen port          (default 7777; 0 = ephemeral)
 //   --partitions=N     partitions served    (default 16)
 //   --shards=N         stabilizer shards    (default 4, non-FT only)
-//   --buffer=NAME      partition_run | rbtree | avl (default partition_run)
 //   --period-us=N      stabilization fallback period (default 500)
 //   --ft               fault-tolerant service (replicated, Alg. 4)
 //   --replicas=N       FT replica count     (default 3)
@@ -66,8 +65,6 @@
 #include "src/net/eunomia_client.h"
 #include "src/net/eunomia_server.h"
 #include "src/net/epoll_transport.h"
-#include "src/net/tcp_transport.h"
-#include "src/ordbuf/ordered_buffer.h"
 #include "src/wal/disk.h"
 #include "src/wal/log_writer.h"
 
@@ -79,26 +76,11 @@ void HandleSignal(int) { g_stop = 1; }
 
 using eunomia::metrics::SeriesSum;
 
-bool ParseBackend(const std::string& name, eunomia::ordbuf::Backend* backend) {
-  using eunomia::ordbuf::Backend;
-  if (name == "partition_run") {
-    *backend = Backend::kPartitionRun;
-  } else if (name == "rbtree") {
-    *backend = Backend::kRbTree;
-  } else if (name == "avl") {
-    *backend = Backend::kAvl;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // The ctest/CI smoke path: everything in-process, but every byte crosses a
 // real loopback socket. Verifies the end-to-end contract: N connections of
 // interleaved batches in, one complete stable stream out, in (ts, partition)
 // order.
-int RunSmoke(eunomia::net::EunomiaServer::Options options,
-             eunomia::net::TcpBackend io) {
+int RunSmoke(eunomia::net::EunomiaServer::Options options) {
   using namespace eunomia;
   options.num_partitions = 4;
   options.stable_period_us = 200;
@@ -109,8 +91,7 @@ int RunSmoke(eunomia::net::EunomiaServer::Options options,
     std::fprintf(stderr, "eunomiad --smoke: could not bind a metrics port\n");
     return 1;
   }
-  std::unique_ptr<net::Transport> transport_owner = net::MakeTcpTransport(io);
-  net::Transport& transport = *transport_owner;
+  net::EpollTransport transport;
   net::EunomiaServer server(&transport, options);
   const std::string address = server.Start("127.0.0.1:0");
   if (address.empty()) {
@@ -279,8 +260,7 @@ std::string SelfExe() {
 }
 
 pid_t SpawnDurableServer(const std::string& exe, const std::string& data_dir,
-                         const std::string& addr_file,
-                         eunomia::net::TcpBackend io) {
+                         const std::string& addr_file) {
   const pid_t pid = fork();
   if (pid != 0) {
     return pid;
@@ -290,11 +270,9 @@ pid_t SpawnDurableServer(const std::string& exe, const std::string& data_dir,
   const std::string addr_file_arg = "--addr-file=" + addr_file;
   const std::string metrics_file_arg =
       "--metrics-addr-file=" + data_dir + "/metrics-address";
-  const std::string io_arg =
-      std::string("--io=") + eunomia::net::TcpBackendName(io);
   execl(exe.c_str(), exe.c_str(), "--port=0", "--partitions=2",
         "--period-us=200", "--fsync=commit", "--metrics-port=0",
-        io_arg.c_str(), data_dir_arg.c_str(), addr_file_arg.c_str(),
+        data_dir_arg.c_str(), addr_file_arg.c_str(),
         metrics_file_arg.c_str(), static_cast<char*>(nullptr));
   _exit(127);
 }
@@ -357,7 +335,7 @@ bool SubmitAckedWave(eunomia::net::Transport* transport,
   return acked;
 }
 
-int RunCrashSmoke(eunomia::net::TcpBackend io) {
+int RunCrashSmoke() {
   using namespace eunomia;
   const std::string exe = SelfExe();
   if (exe.empty()) {
@@ -376,7 +354,7 @@ int RunCrashSmoke(eunomia::net::TcpBackend io) {
     std::filesystem::remove_all(data_dir, ec);
   };
 
-  pid_t child = SpawnDurableServer(exe, data_dir, addr_file, io);
+  pid_t child = SpawnDurableServer(exe, data_dir, addr_file);
   std::string address = AwaitAddress(addr_file, child);
   if (address.empty()) {
     std::fprintf(stderr, "eunomiad --crash-smoke: child never came up\n");
@@ -388,8 +366,7 @@ int RunCrashSmoke(eunomia::net::TcpBackend io) {
 
   // Wave 1: acked ops on partition 0 only. Partition 1 stays silent, so the
   // stable frontier is pinned at 0 until the post-restart heartbeats.
-  std::unique_ptr<net::Transport> transport_owner = net::MakeTcpTransport(io);
-  net::Transport& transport = *transport_owner;
+  net::EpollTransport transport;
   std::set<OpOrderKey> wave1;
   if (!SubmitAckedWave(&transport, address, /*partition=*/0, /*base=*/0,
                        &wave1)) {
@@ -434,7 +411,7 @@ int RunCrashSmoke(eunomia::net::TcpBackend io) {
   std::printf("eunomiad --crash-smoke: killed -9 mid-churn, respawning on the "
               "same data dir\n");
 
-  child = SpawnDurableServer(exe, data_dir, addr_file, io);
+  child = SpawnDurableServer(exe, data_dir, addr_file);
   address = AwaitAddress(addr_file, child);
   if (address.empty()) {
     std::fprintf(stderr,
@@ -567,20 +544,14 @@ int RunCrashSmoke(eunomia::net::TcpBackend io) {
 int main(int argc, char** argv) {
   eunomia::bench::Flags flags(
       argc, argv,
-      {"host", "port", "partitions", "shards", "buffer", "period-us", "ft",
-       "replicas", "data-dir", "fsync", "addr-file", "metrics-port",
-       "metrics-addr-file", "smoke", "crash-smoke", "io"});
+      {"host", "port", "partitions", "shards", "period-us", "ft", "replicas",
+       "data-dir", "fsync", "addr-file", "metrics-port", "metrics-addr-file",
+       "smoke", "crash-smoke"});
   if (!flags.ok()) {
     return flags.FailUsage();
   }
-  eunomia::net::TcpBackend io = eunomia::net::TcpBackend::kEpoll;
-  if (!eunomia::net::ParseTcpBackend(flags.Get("io", "epoll"), &io)) {
-    std::fprintf(stderr, "--io must be epoll or threaded (got '%s')\n",
-                 flags.Get("io", "epoll").c_str());
-    return 2;
-  }
   if (flags.Has("crash-smoke")) {
-    return RunCrashSmoke(io);
+    return RunCrashSmoke();
   }
   eunomia::net::EunomiaServer::Options options;
   options.fault_tolerant = flags.Has("ft");
@@ -590,13 +561,6 @@ int main(int argc, char** argv) {
   options.num_replicas =
       static_cast<std::uint32_t>(flags.GetUint("replicas", 3));
   options.stable_period_us = flags.GetUint("period-us", 500);
-  if (!ParseBackend(flags.Get("buffer", "partition_run"),
-                    &options.buffer_backend)) {
-    std::fprintf(stderr,
-                 "--buffer must be partition_run, rbtree or avl (got '%s')\n",
-                 flags.Get("buffer", "partition_run").c_str());
-    return 2;
-  }
   std::unique_ptr<eunomia::wal::PosixDisk> disk;
   const std::string data_dir = flags.Get("data-dir", "");
   if (!data_dir.empty()) {
@@ -622,7 +586,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (flags.smoke()) {
-    return RunSmoke(options, io);
+    return RunSmoke(options);
   }
   if (flags.Has("metrics-addr-file") && !flags.Has("metrics-port")) {
     std::fprintf(stderr, "--metrics-addr-file requires --metrics-port\n");
@@ -636,9 +600,8 @@ int main(int argc, char** argv) {
 
   const std::string address = flags.Get("host", "127.0.0.1") + ":" +
                               std::to_string(flags.GetUint("port", 7777));
-  std::unique_ptr<eunomia::net::Transport> transport =
-      eunomia::net::MakeTcpTransport(io);
-  eunomia::net::EunomiaServer server(transport.get(), options);
+  eunomia::net::EpollTransport transport;
+  eunomia::net::EunomiaServer server(&transport, options);
   const std::string bound = server.Start(address);
   if (bound.empty()) {
     std::fprintf(stderr, "eunomiad: could not listen on %s\n", address.c_str());
@@ -677,10 +640,9 @@ int main(int argc, char** argv) {
   if (!addr_file.empty()) {
     publish_address(addr_file, bound);
   }
-  std::printf("eunomiad: serving %u partitions on %s (%s, %s%s%s)\n",
+  std::printf("eunomiad: serving %u partitions on %s (%s%s%s)\n",
               options.num_partitions, bound.c_str(),
               options.fault_tolerant ? "fault-tolerant" : "sharded",
-              eunomia::ordbuf::BackendName(options.buffer_backend),
               disk != nullptr ? ", wal fsync=" : "",
               disk != nullptr
                   ? eunomia::wal::FsyncPolicyName(options.durability.fsync)

@@ -1,15 +1,14 @@
 // EunomiaCore — Algorithm 3 of the paper: the site stabilization procedure.
 //
 // The core keeps:
-//   - Ops: the set of not-yet-stable operations, held in a pluggable
-//     *ordered buffer* (src/ordbuf/). The paper's C++ implementation (§6)
-//     uses a red-black tree; Property 2 (per-partition timestamp
-//     monotonicity) admits a strictly cheaper layout — one sorted run per
-//     partition with a tournament-tree merge at extraction — which is the
-//     default backend. The red-black and AVL trees remain selectable so
-//     the §6 design choice stays reproducible and the fast path's
-//     semantics stay pinned against them (the emitted sequence is
-//     bit-for-bit identical across backends).
+//   - Ops: the set of not-yet-stable operations, held in an *ordered
+//     buffer* (src/ordbuf/). The paper's C++ implementation (§6) uses a
+//     red-black tree; Property 2 (per-partition timestamp monotonicity)
+//     admits a strictly cheaper layout — one sorted run per partition with
+//     a tournament-tree merge at extraction — which PartitionRunBuffer
+//     implements. The §6 trees are reference models only: the tests pin
+//     this core's emitted sequence bit-for-bit against a stabilizer built
+//     over them, and ablation_ordered_buffer reproduces the §6 comparison.
 //   - PartitionTime: the latest timestamp received from every partition
 //     (updated by both operations and heartbeats), held in an incremental
 //     min-tournament so StableTime() is an O(1) read instead of an O(P)
@@ -28,16 +27,12 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/eunomia/op.h"
-#include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/min_tournament.h"
-#include "src/ordbuf/ordered_buffer.h"
 #include "src/ordbuf/partition_run_buffer.h"
-#include "src/ordbuf/rbtree_buffer.h"
 
 namespace eunomia {
 
@@ -46,25 +41,12 @@ class EunomiaCore {
   // The core tracks partitions [first_partition, first_partition +
   // num_partitions). A non-zero base lets a sharded service give each worker
   // a private core over its contiguous partition range while ops keep their
-  // global partition ids. `backend` selects the ordered-buffer policy
-  // holding the not-yet-stable op set.
+  // global partition ids.
   explicit EunomiaCore(std::uint32_t num_partitions,
-                       std::uint32_t first_partition = 0,
-                       ordbuf::Backend backend = ordbuf::Backend::kPartitionRun);
+                       std::uint32_t first_partition = 0);
 
   std::uint32_t num_partitions() const { return num_partitions_; }
   std::uint32_t first_partition() const { return first_partition_; }
-  // Derived from the engaged variant alternative — no shadow state to keep
-  // in sync with the buffer.
-  ordbuf::Backend backend() const {
-    if (std::holds_alternative<ordbuf::RbTreeBuffer<OpRecord>>(ops_)) {
-      return ordbuf::Backend::kRbTree;
-    }
-    if (std::holds_alternative<ordbuf::AvlBuffer<OpRecord>>(ops_)) {
-      return ordbuf::Backend::kAvl;
-    }
-    return ordbuf::Backend::kPartitionRun;
-  }
 
   // ADD_OP (Alg. 3 lines 1-4). Returns false — and ignores the op — if it
   // violates Property 2 (non-monotonic timestamp from its partition); the
@@ -73,9 +55,8 @@ class EunomiaCore {
   bool AddOp(const OpRecord& op);
 
   // Bulk ADD_OP for a partition batch. Batches arrive in increasing
-  // timestamp order (Property 2), so consecutive ops are O(1) appends in
-  // the run-queue backend and hinted (root-descent-free) inserts in the
-  // tree backends. Non-monotone ops are counted and dropped exactly as
+  // timestamp order (Property 2), so consecutive ops are O(1) appends to
+  // their partition's run. Non-monotone ops are counted and dropped exactly as
   // AddOp does. Returns the number accepted.
   std::size_t AddBatch(std::span<const OpRecord> batch);
 
@@ -99,9 +80,7 @@ class EunomiaCore {
   std::size_t ForceExtractUpTo(Timestamp bound, std::vector<OpRecord>* out);
 
   // --- introspection ---------------------------------------------------------
-  std::size_t pending_ops() const {
-    return std::visit([](const auto& buf) { return buf.size(); }, ops_);
-  }
+  std::size_t pending_ops() const { return ops_.size(); }
   Timestamp partition_time(PartitionId p) const {
     assert(p >= first_partition_ && p - first_partition_ < num_partitions_);
     return partition_time_.Get(p - first_partition_);
@@ -113,16 +92,9 @@ class EunomiaCore {
   std::uint64_t monotonicity_violations() const { return monotonicity_violations_; }
 
  private:
-  using OpsBuffer = std::variant<ordbuf::PartitionRunBuffer<OpRecord>,
-                                 ordbuf::RbTreeBuffer<OpRecord>,
-                                 ordbuf::AvlBuffer<OpRecord>>;
-
-  static OpsBuffer MakeBuffer(ordbuf::Backend backend, std::uint32_t num_partitions,
-                              std::uint32_t first_partition);
-
   std::uint32_t num_partitions_;
   std::uint32_t first_partition_;
-  OpsBuffer ops_;
+  ordbuf::PartitionRunBuffer<OpRecord> ops_;
   ordbuf::MinTournament partition_time_;
   Timestamp last_emitted_ = 0;
   std::uint64_t ops_received_ = 0;

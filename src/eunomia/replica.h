@@ -26,9 +26,8 @@ namespace eunomia {
 
 class EunomiaReplica {
  public:
-  EunomiaReplica(std::uint32_t replica_id, std::uint32_t num_partitions,
-                 ordbuf::Backend backend = ordbuf::Backend::kPartitionRun)
-      : replica_id_(replica_id), core_(num_partitions, 0, backend) {}
+  EunomiaReplica(std::uint32_t replica_id, std::uint32_t num_partitions)
+      : replica_id_(replica_id), core_(num_partitions) {}
 
   std::uint32_t replica_id() const { return replica_id_; }
 

@@ -74,7 +74,7 @@ EunomiaService::EunomiaService(Options options) : options_(std::move(options)) {
   std::uint32_t first = 0;
   for (std::uint32_t s = 0; s < shards; ++s) {
     const std::uint32_t count = base + (s < rem ? 1 : 0);
-    shards_.push_back(std::make_unique<Shard>(first, count, options_.buffer_backend));
+    shards_.push_back(std::make_unique<Shard>(first, count));
     for (std::uint32_t p = first; p < first + count; ++p) {
       shard_of_partition_[p] = s;
     }
@@ -502,8 +502,7 @@ FtEunomiaService::FtEunomiaService(Options options) : options_(std::move(options
   for (std::uint32_t r = 0; r < options_.num_replicas; ++r) {
     auto state = std::make_unique<ReplicaState>();
     state->heartbeats.assign(options_.num_partitions, 0);
-    state->logic = std::make_unique<EunomiaReplica>(r, options_.num_partitions,
-                                                    options_.buffer_backend);
+    state->logic = std::make_unique<EunomiaReplica>(r, options_.num_partitions);
     state->acks = std::vector<std::atomic<Timestamp>>(options_.num_partitions);
     for (auto& a : state->acks) {
       a.store(0, std::memory_order_relaxed);

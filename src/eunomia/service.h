@@ -82,9 +82,6 @@ class EunomiaService {
     // owns a contiguous partition range and a private EunomiaCore.
     std::uint32_t num_shards = 1;
     std::uint64_t stable_period_us = 500;  // theta (fallback wakeup period)
-    // Ordered-buffer policy backing every shard core. The run-queue layout
-    // is the fast path; the tree backends pin the §6 design choice.
-    ordbuf::Backend buffer_backend = ordbuf::Backend::kPartitionRun;
     StableSink sink;
     // Durability (src/eunomia/service_wal.h). With durability.disk set, the
     // constructor recovers accepted-but-unstable state from the disk and
@@ -178,10 +175,10 @@ class EunomiaService {
   };
 
   struct Shard {
-    Shard(std::uint32_t first, std::uint32_t count, ordbuf::Backend backend)
+    Shard(std::uint32_t first, std::uint32_t count)
         : first_partition(first),
           num_partitions(count),
-          core(count, first, backend),
+          core(count, first),
           last_forwarded_hb(count, 0) {}
 
     const std::uint32_t first_partition;
@@ -269,8 +266,6 @@ class FtEunomiaService {
     std::uint32_t num_partitions = 1;
     std::uint32_t num_replicas = 3;
     std::uint64_t stable_period_us = 500;  // theta
-    // Ordered-buffer policy backing every replica's core.
-    ordbuf::Backend buffer_backend = ordbuf::Backend::kPartitionRun;
     StableSink sink;  // invoked by whichever replica is currently leader
   };
 

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "src/ordbuf/ordered_buffer.h"
 #include "src/sim/network.h"
 
 namespace eunomia::geo {
@@ -106,11 +105,6 @@ struct GeoConfig {
   // visibility lower bound becomes the latency to the farthest datacenter
   // regardless of the update's origin. Used by bench/ablation_metadata.
   bool scalar_metadata = false;
-
-  // Ordered-buffer policy behind each datacenter's Eunomia node (§6 /
-  // src/ordbuf/): the per-partition run-queue layout by default, the tree
-  // backends for reproducing the paper's design-choice comparison.
-  ordbuf::Backend eunomia_buffer = ordbuf::Backend::kPartitionRun;
 
   CostModel costs;
   ClockConfig clocks;

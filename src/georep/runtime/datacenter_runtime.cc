@@ -20,8 +20,7 @@ DatacenterRuntime::DatacenterRuntime(DatacenterId id, const GeoConfig& config,
       sessions_(sessions),
       router_(config_.partitions_per_dc),
       partitions_(config_.partitions_per_dc),
-      eunomia_(config_.partitions_per_dc, /*first_partition=*/0,
-               config_.eunomia_buffer) {
+      eunomia_(config_.partitions_per_dc) {
   assert(clocks.size() == partitions_.size());
   for (PartitionId p = 0; p < config_.partitions_per_dc; ++p) {
     Partition& part = partitions_[p];

@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "src/net/net_metrics.h"
-#include "src/net/tcp_transport.h"
 
 namespace eunomia::net {
 
@@ -89,6 +88,10 @@ class EpollTransport::Conn : public Connection,
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
   void OnEvents(std::uint32_t events) override {
+    // epoll dispatches through a raw pointer. Once teardown publishes
+    // finished_, another thread's ReapFinished may drop the registry's
+    // reference, so pin the conn until this dispatch returns.
+    const std::shared_ptr<Conn> self = shared_from_this();
     if (events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
       HandleReadable();
     }
@@ -145,7 +148,8 @@ class EpollTransport::Conn : public Connection,
 
   // hard = true tears the socket down immediately (protocol error, write
   // failure, transport shutdown); hard = false flushes accepted frames and
-  // FINs once drained. Reads stop immediately either way. Any thread.
+  // FINs once drained. Reads stop once the loop runs the close nudge, either
+  // way. Any thread.
   void CloseInternal(wire::WireError error, bool hard) {
     {
       sync::MutexLock lock(out_mu_);
@@ -158,18 +162,21 @@ class EpollTransport::Conn : public Connection,
       }
     }
     closed_.store(true, std::memory_order_release);
-    // The fd stays open until the loop finishes teardown; shutdown() just
-    // makes it readable (EOF) so the loop notices. The nudge task covers
-    // the no-pending-event cases (e.g. read side already done).
-    ::shutdown(fd_, hard ? SHUT_RDWR : SHUT_RD);
     space_cv_.NotifyAll();
-    loop_->Post([self = shared_from_this()] { self->CloseNudgeOnLoop(); });
+    // Only the loop thread may touch the fd: a conn whose teardown already
+    // finished has closed it, and the number may now belong to another
+    // connection (a second Close, e.g. from a client's destructor, would
+    // shut that one down).
+    loop_->Post(
+        [self = shared_from_this(), hard] { self->CloseNudgeOnLoop(hard); });
   }
 
-  void CloseNudgeOnLoop() {
+  void CloseNudgeOnLoop(bool hard) {
     if (finished_.load(std::memory_order_relaxed)) {
       return;
     }
+    // Makes the socket read EOF so the read side finishes.
+    ::shutdown(fd_, hard ? SHUT_RDWR : SHUT_RD);
     if (!read_done_) {
       HandleReadable();  // observes EOF / reset, fires on_close
     }
@@ -309,7 +316,7 @@ class EpollTransport::Conn : public Connection,
         }
       }
       if (hard) {
-        write_done_ = true;  // socket already SHUT_RDWR by the hard closer
+        write_done_ = true;  // the hard closer shuts the socket down
         MaybeFinish();
         return;
       }
@@ -377,9 +384,9 @@ class EpollTransport::Conn : public Connection,
     }
   }
 
-  // Loop thread: a write failed hard (EPIPE/ECONNRESET). Mirror the
-  // threaded backend: tear the whole connection down now; the read side
-  // observes the shutdown and fires on_close.
+  // Loop thread: a write failed hard (EPIPE/ECONNRESET). Tear the whole
+  // connection down now; the read side observes the shutdown and fires
+  // on_close.
   void HardFailOnLoop() {
     {
       sync::MutexLock lock(out_mu_);
@@ -677,31 +684,6 @@ void EpollTransport::Shutdown() {
   for (const auto& loop : loops_) {
     loop->Stop();
   }
-}
-
-// --- backend selection (the --io flag) ---------------------------------------
-
-bool ParseTcpBackend(const std::string& name, TcpBackend* out) {
-  if (name == "epoll") {
-    *out = TcpBackend::kEpoll;
-    return true;
-  }
-  if (name == "threaded") {
-    *out = TcpBackend::kThreaded;
-    return true;
-  }
-  return false;
-}
-
-const char* TcpBackendName(TcpBackend backend) {
-  return backend == TcpBackend::kEpoll ? "epoll" : "threaded";
-}
-
-std::unique_ptr<Transport> MakeTcpTransport(TcpBackend backend) {
-  if (backend == TcpBackend::kThreaded) {
-    return std::make_unique<TcpTransport>();
-  }
-  return std::make_unique<EpollTransport>();
 }
 
 }  // namespace eunomia::net

@@ -1,5 +1,5 @@
-// EpollTransport: the async event-loop TCP backend (the default; the
-// thread-pair-per-connection TcpTransport remains as --io=threaded).
+// EpollTransport: the real-socket Transport backend, built on async event
+// loops.
 //
 // A small pool of IoLoop threads owns every socket: the listener accepts on
 // loop 0, accepted/dialed connections are assigned round-robin, and all of a
@@ -75,18 +75,5 @@ class EpollTransport : public Transport {
   std::unique_ptr<Listener> listener_ GUARDED_BY(mu_);
   std::vector<std::shared_ptr<Conn>> connections_ GUARDED_BY(mu_);
 };
-
-// --- backend selection (the --io flag) ---------------------------------------
-
-enum class TcpBackend {
-  kEpoll,     // event-loop pool (default)
-  kThreaded,  // reader+writer thread pair per connection
-};
-
-// Parses an --io flag value ("epoll" | "threaded"). Returns false on
-// anything else.
-bool ParseTcpBackend(const std::string& name, TcpBackend* out);
-const char* TcpBackendName(TcpBackend backend);
-std::unique_ptr<Transport> MakeTcpTransport(TcpBackend backend);
 
 }  // namespace eunomia::net

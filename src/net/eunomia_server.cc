@@ -31,7 +31,6 @@ EunomiaServer::EunomiaServer(Transport* transport, Options options)
     service_options.num_partitions = options_.num_partitions;
     service_options.num_replicas = options_.num_replicas;
     service_options.stable_period_us = options_.stable_period_us;
-    service_options.buffer_backend = options_.buffer_backend;
     service_options.sink = options_.sink;
     ft_service_ = std::make_unique<FtEunomiaService>(std::move(service_options));
     ft_service_->AddStableListener(
@@ -41,7 +40,6 @@ EunomiaServer::EunomiaServer(Transport* transport, Options options)
     service_options.num_partitions = options_.num_partitions;
     service_options.num_shards = options_.num_shards;
     service_options.stable_period_us = options_.stable_period_us;
-    service_options.buffer_backend = options_.buffer_backend;
     service_options.sink = options_.sink;
     service_options.durability = options_.durability;
     service_options.metrics = options_.metrics;

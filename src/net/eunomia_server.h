@@ -45,7 +45,6 @@
 #include "src/eunomia/service.h"
 #include "src/metrics/histogram.h"
 #include "src/net/transport.h"
-#include "src/ordbuf/ordered_buffer.h"
 
 namespace eunomia::net {
 
@@ -59,7 +58,6 @@ class EunomiaServer {
     std::uint32_t num_shards = 1;    // non-FT stabilizer workers
     std::uint32_t num_replicas = 3;  // FT replica count
     std::uint64_t stable_period_us = 500;
-    ordbuf::Backend buffer_backend = ordbuf::Backend::kPartitionRun;
     // Optional local consumer of the stable stream, independent of network
     // subscribers (eunomiad uses it for --log-stable).
     StableSink sink;

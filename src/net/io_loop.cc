@@ -121,8 +121,14 @@ void IoLoop::Run() {
   NetMetrics& metrics = NetMetrics::Get();
   std::array<epoll_event, kMaxEventsPerWait> events;
   std::deque<std::function<void()>> tasks;
+  // 0 when tasks posted by the last task batch are still queued: Post()
+  // wakes the loop only on an empty queue, so blocking then would strand
+  // them and every later post behind them. Polling keeps them behind the
+  // next readiness dispatch, as a posted read continuation expects.
+  int timeout_ms = -1;
   for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(), kMaxEventsPerWait, -1);
+    const int n =
+        ::epoll_wait(epoll_fd_, events.data(), kMaxEventsPerWait, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -158,6 +164,10 @@ void IoLoop::Run() {
       task();
     }
     tasks.clear();
+    {
+      sync::MutexLock lock(task_mu_);
+      timeout_ms = tasks_.empty() ? -1 : 0;
+    }
     metrics.io_loop_iteration_us->Record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - busy_start)

@@ -19,7 +19,8 @@
 // always drains the task queue after dispatching readiness, so tasks posted
 // during dispatch (e.g. "flush this connection's outbox") run in the same
 // iteration — this is what lets every ack generated in one wakeup coalesce
-// into one writev.
+// into one writev. Tasks posted by a task run in the next iteration, whose
+// epoll_wait polls instead of blocking.
 //
 // The task queue mutex ranks at kRankIoLoop (820): senders may post a flush
 // kick while holding a connection outbox lock (kRankConnQueue, 810).

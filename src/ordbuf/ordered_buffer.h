@@ -1,4 +1,4 @@
-// The ordered-buffer policy layer: which data structure holds the
+// The ordered-buffer layer: which data structure holds the
 // not-yet-stable op set?
 //
 // The paper's §6 implementation note picks a red-black tree. But Property 2
@@ -7,9 +7,12 @@
 // the global (ts, partition) order only has to be materialized at extraction
 // time. That observation admits a strictly cheaper layout — one append-only
 // ring buffer per partition plus a tournament merge over the P run heads —
-// which PartitionRunBuffer implements. The tree-backed buffers are kept as
-// selectable policies so the §6 design choice stays reproducible (ablation
-// A1) and so the semantics of the fast path can be pinned against them.
+// which PartitionRunBuffer implements, and which EunomiaCore holds. The
+// tree-backed buffers (RbTreeBuffer, AvlBuffer) are reference models only:
+// ablation A1 (bench/ablation_ordered_buffer.cc) reproduces the §6 design
+// choice with them, and tests/ordbuf_equivalence_test.cc pins the core's
+// emission against a stabilizer built over them. No production target
+// includes them.
 //
 // OrderedBuffer concept (all three implementations satisfy it):
 //
@@ -35,28 +38,3 @@
 // extracted ops straight into its destination (EunomiaCore appends to the
 // sink vector) instead of staging (key, value) pairs in a scratch buffer.
 #pragma once
-
-namespace eunomia::ordbuf {
-
-// Selects the ordered-buffer policy behind an EunomiaCore. Threaded through
-// EunomiaService::Options, FtEunomiaService::Options and GeoConfig; the
-// run-queue layout is the default everywhere.
-enum class Backend {
-  kPartitionRun,  // per-partition ring buffers + tournament-tree extraction
-  kRbTree,        // the paper's §6 choice (src/rbtree/red_black_tree.h)
-  kAvl,           // the §6 also-ran (src/rbtree/avl_tree.h)
-};
-
-constexpr const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kPartitionRun:
-      return "partition_run";
-    case Backend::kRbTree:
-      return "rbtree";
-    case Backend::kAvl:
-      return "avl";
-  }
-  return "unknown";
-}
-
-}  // namespace eunomia::ordbuf

@@ -28,7 +28,7 @@
 #include "src/georep/runtime/chaos/nemesis.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
-#include "src/net/tcp_transport.h"
+#include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 
 namespace eunomia {
@@ -394,7 +394,7 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   GeoNode::Options options1 = options0;
   options1.dc = 1;
 
-  net::TcpTransport transport0;
+  net::EpollTransport transport0;
   GeoNode node0(&transport0, options0);
   ASSERT_FALSE(node0.Listen("127.0.0.1:0").empty());
 
@@ -402,18 +402,18 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   // address nobody listens on yet.
   std::string addr1;
   {
-    net::TcpTransport probe;
+    net::EpollTransport probe;
     GeoNode ephemeral(&probe, options1);
     addr1 = ephemeral.Listen("127.0.0.1:0");
     ASSERT_FALSE(addr1.empty());
     ephemeral.Stop();
   }
 
-  std::unique_ptr<net::TcpTransport> transport1;
+  std::unique_ptr<net::EpollTransport> transport1;
   std::unique_ptr<GeoNode> node1;
   std::thread late_booter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    transport1 = std::make_unique<net::TcpTransport>();
+    transport1 = std::make_unique<net::EpollTransport>();
     node1 = std::make_unique<GeoNode>(transport1.get(), options1);
     ASSERT_EQ(node1->Listen(addr1), addr1);
   });
@@ -443,8 +443,8 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   GeoNode::Options options1 = options0;
   options1.dc = 1;
 
-  auto transport0 = std::make_unique<net::TcpTransport>();
-  auto transport1 = std::make_unique<net::TcpTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>();
+  auto transport1 = std::make_unique<net::EpollTransport>();
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -474,7 +474,7 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   transport1.reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
-  transport1 = std::make_unique<net::TcpTransport>();
+  transport1 = std::make_unique<net::EpollTransport>();
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));

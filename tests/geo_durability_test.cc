@@ -26,7 +26,7 @@
 #include "src/georep/runtime/durability.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
-#include "src/net/tcp_transport.h"
+#include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
 #include "src/wal/log_writer.h"
@@ -265,8 +265,8 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   options1.dc = 1;
   options1.durability_disk = &disk1;
 
-  auto transport0 = std::make_unique<net::TcpTransport>();
-  auto transport1 = std::make_unique<net::TcpTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>();
+  auto transport1 = std::make_unique<net::EpollTransport>();
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -312,7 +312,7 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   disk1.Crash();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  transport1 = std::make_unique<net::TcpTransport>();
+  transport1 = std::make_unique<net::EpollTransport>();
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));
@@ -360,6 +360,9 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   EXPECT_GT(applied_after, 0u);
   node0->Stop();
   node1->Stop();
+  // The writer chain owns itself; with the node threads joined, break the
+  // cycle so it can be reclaimed.
+  *issue = nullptr;
   SUCCEED() << "retained history at end: " << retained;
 }
 

@@ -37,7 +37,7 @@
 #include "src/georep/runtime/geo_wire.h"
 #include "src/georep/runtime/sim_env.h"
 #include "src/net/loopback_transport.h"
-#include "src/net/tcp_transport.h"
+#include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workload.h"
 
@@ -470,13 +470,13 @@ TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
 
 struct TcpCluster {
   GeoConfig config = SmallRealConfig();
-  std::array<std::unique_ptr<net::TcpTransport>, 3> transports;
+  std::array<std::unique_ptr<net::EpollTransport>, 3> transports;
   std::array<std::unique_ptr<geo::rt::GeoNode>, 3> nodes;
 
   TcpCluster() {
     std::array<std::string, 3> addresses;
     for (DatacenterId m = 0; m < 3; ++m) {
-      transports[m] = std::make_unique<net::TcpTransport>();
+      transports[m] = std::make_unique<net::EpollTransport>();
       nodes[m] = std::make_unique<geo::rt::GeoNode>(
           transports[m].get(),
           geo::rt::GeoNode::Options{m, config, /*detailed_visibility=*/true});

@@ -1,4 +1,4 @@
-// Tests for the ordered-buffer policy layer (src/ordbuf/): the tournament
+// Tests for the ordered-buffer layer (src/ordbuf/): the tournament
 // structures, and a shared parameterized suite run against all three
 // OrderedBuffer implementations — the run-queue fast path must be
 // observationally identical to the tree-backed buffers.
@@ -14,7 +14,6 @@
 #include "src/eunomia/op.h"
 #include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/min_tournament.h"
-#include "src/ordbuf/ordered_buffer.h"
 #include "src/ordbuf/partition_run_buffer.h"
 #include "src/ordbuf/rbtree_buffer.h"
 #include "src/ordbuf/tournament_tree.h"
