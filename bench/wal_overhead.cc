@@ -5,12 +5,12 @@
 //
 //   wal=off          the in-memory baseline (fig2's single-shard number)
 //   fsync=off        WAL appends, durability left to the page cache
-//   fsync=interval   group commit: one fsync per 5 ms / 64 KiB of log
+//   fsync=interval   inline appends, synced every 64 KiB or 5 ms
 //   fsync=commit     every ack waits for its batch to be on disk
 //
 // against a wal::PosixDisk on a fresh temp directory per configuration.
-// The interesting number is the interval-fsync overhead: the group-commit
-// pipeline is designed to keep it within ~15% of the in-memory baseline
+// The interesting number is the interval-fsync overhead: the inline append
+// path is designed to keep it within ~15% of the in-memory baseline
 // (the acceptance bar BENCH_wal.json is checked against), while
 // fsync=commit pays the full synchronous-disk price and is reported for
 // calibration, not expected to be close.
@@ -117,8 +117,8 @@ RunResult MeasureRun(bool wal, wal::FsyncPolicy policy, std::uint32_t shards,
 int Run(bool smoke) {
   harness::PrintBanner(
       "WAL overhead: durable vs in-memory service throughput",
-      "fig2 fixed-load race, single shard; group commit is the deployed "
-      "configuration");
+      "fig2 fixed-load race, single shard; fsync=interval is inline "
+      "appends, synced every 64 KiB or 5 ms");
   const bench::FixedLoad load = MakeLoad(smoke);
   const std::vector<std::uint32_t> shard_counts =
       smoke ? std::vector<std::uint32_t>{1u} : std::vector<std::uint32_t>{1u, 4u};
@@ -219,7 +219,7 @@ int Run(bool smoke) {
   }
   table.Print();
   std::printf(
-      "\nsingle-shard interval-fsync (group commit) CPU overhead vs "
+      "\nsingle-shard fsync=interval CPU overhead vs "
       "in-memory: %.1f%% %s\n",
       interval_overhead_1shard * 100.0,
       interval_overhead_1shard <= 0.15 ? "(within the 15%% budget)"

@@ -206,7 +206,7 @@ void EunomiaService::SubmitBatch(PartitionId partition, std::vector<OpRecord> ba
   }
   if (wal_) {
     // Log-before-accept: the record reaches the WAL (and, under
-    // FsyncPolicy::kPerCommit, the platter — this call group-commits)
+    // FsyncPolicy::kPerCommit, the platter — this call syncs inline)
     // before the batch can have any downstream effect, so anything the
     // caller sees acknowledged is recoverable. An append failure is counted
     // (wal_append_failures) but does not reject the batch: a dying disk

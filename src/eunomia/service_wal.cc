@@ -98,17 +98,6 @@ ServiceWal::Recovered ServiceWal::Recover() {
   }
 
   logs_.resize(num_partitions_);
-  wal::LogWriter::Options writer_options;
-  writer_options.policy = options_.fsync;
-  writer_options.interval_us = options_.fsync_interval_us;
-  // Always inline, even in threaded mode. The logs are per-partition FILES:
-  // committers on different partitions never share an fsync, so a dedicated
-  // writer thread per log buys no group commit here — it only multiplies
-  // runnable threads (one per partition) that thrash small hosts with
-  // context switches. Inline appends are one page-cache write on the
-  // submit path; the maintenance thread provides the kInterval time bound
-  // (see SnapshotLoop).
-  writer_options.threaded = false;
   for (PartitionId p = 0; p < num_partitions_; ++p) {
     std::vector<wal::Record> records;
     if (wal::RecoverLog(options_.disk, LogName(p), &records) ==
@@ -138,7 +127,7 @@ ServiceWal::Recovered ServiceWal::Recover() {
     // Append pipelines open only after RecoverLog truncated any torn tail,
     // so new records always start on a record boundary.
     logs_[p] = std::make_unique<wal::LogWriter>(options_.disk, LogName(p),
-                                                writer_options);
+                                                options_.fsync);
   }
   if (options_.threaded) {
     snap_thread_ = std::thread([this] { SnapshotLoop(); });
@@ -164,7 +153,7 @@ void ServiceWal::LogHeartbeat(PartitionId partition, Timestamp ts) {
   std::string payload;
   io::PutU32(&payload, partition);
   io::PutU64(&payload, ts);
-  // Heartbeats ride the same log and the same group commit as batches; a
+  // Heartbeats ride the same log and the same fsync policy as batches; a
   // lost heartbeat only delays stabilization after a restart, it loses no
   // data, so there is no need for a separate non-durable path.
   if (!logs_[partition]->Append(kHeartbeatRecord, payload)) {
@@ -203,14 +192,14 @@ void ServiceWal::NoteStable(OpOrderKey frontier) {
 
 void ServiceWal::SnapshotLoop() {
   // Besides servicing snapshot requests, this thread is the kInterval
-  // syncer: appends are inline (no per-log writer threads), so the "a
-  // written byte stays un-synced at most interval_us" half of the interval
-  // policy is enforced here by flushing every log each window. Flush is a
-  // no-op on a log with nothing un-synced.
+  // syncer: appends are inline and only sync by bytes, so the "a written
+  // byte stays un-synced at most wal::kFsyncIntervalUs" half of the
+  // interval policy is enforced here by flushing every log each window.
+  // Flush is a no-op on a log with nothing un-synced.
   using Clock = std::chrono::steady_clock;
   const bool interval_sync =
       options_.fsync == wal::FsyncPolicy::kInterval;
-  const auto interval = std::chrono::microseconds(options_.fsync_interval_us);
+  const auto interval = std::chrono::microseconds(wal::kFsyncIntervalUs);
   auto next_sync = Clock::now() + interval;
   for (;;) {
     OpOrderKey mark{0, 0};

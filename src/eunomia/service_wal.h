@@ -54,14 +54,12 @@ namespace eunomia {
 struct ServiceDurability {
   wal::Disk* disk = nullptr;  // borrowed; must outlive the service
   wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
-  std::uint64_t fsync_interval_us = 5000;
   // Rewrite the snapshot + compact the logs once this many bytes of
   // records have been appended since the last snapshot.
   std::uint64_t snapshot_interval_bytes = 1u << 20;
   // Run a background maintenance thread for snapshot/compaction work and
-  // the kInterval time-bounded sync. Appends are always inline (the logs
-  // are per-partition files, so cross-committer group commit has nothing
-  // to share). Off = fully synchronous for deterministic tests.
+  // the kInterval time-bounded sync (every wal::kFsyncIntervalUs). Appends
+  // are always inline. Off = fully synchronous for deterministic tests.
   bool threaded = true;
 };
 

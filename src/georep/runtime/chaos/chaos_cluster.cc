@@ -61,7 +61,6 @@ std::unique_ptr<GeoDurability> ChaosCluster::MakeDurability(DatacenterId dc) {
   opts.partitions = options_.config.partitions_per_dc;
   opts.fsync = options_.fsync;
   opts.snapshot_interval_bytes = options_.snapshot_interval_bytes;
-  opts.threaded = false;  // inline appends keep the schedule deterministic
   return std::make_unique<GeoDurability>(std::move(opts));
 }
 

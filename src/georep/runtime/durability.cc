@@ -183,8 +183,6 @@ bool DecodeSnapshot(const std::string& bytes, std::uint32_t num_dcs,
 
 GeoDurability::GeoDurability(GeoDurabilityOptions options)
     : options_(options),
-      writer_options_{options.fsync, options.fsync_interval_us,
-                      /*interval_bytes=*/64u << 10, options.threaded},
       install_logs_(options.partitions),
       local_ts_mark_(options.partitions, 0) {
   assert(options_.disk != nullptr);
@@ -305,7 +303,7 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
       ++out.installs_replayed;
     }
     install_logs_[p] = std::make_unique<wal::LogWriter>(
-        options_.disk, InstallLogName(p), writer_options_);
+        options_.disk, InstallLogName(p), options_.fsync);
   }
 
   // --- inbound log (arrival order preserves the per-origin FIFO) -------------
@@ -334,7 +332,7 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
       }
     }
     inbound_log_ = std::make_unique<wal::LogWriter>(
-        options_.disk, kInboundLogName, writer_options_);
+        options_.disk, kInboundLogName, options_.fsync);
   }
 
   recovering_ = false;

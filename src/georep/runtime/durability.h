@@ -44,10 +44,10 @@
 // partial or bit-flipped final record (detected by the CRC/length framing)
 // is discarded on disk and never reaches the runtime.
 //
-// Threading: single-caller contract, like the runtime it serves. The
-// underlying LogWriters do their own locking, so Options::threaded=true is
-// safe for the real binding; the simulator keeps inline appends for
-// determinism.
+// Threading: single-caller contract, like the runtime it serves. Appends
+// are inline (wal::LogWriter), so the simulator's schedule stays
+// deterministic; under kInterval the caller owns the time bound by calling
+// Flush() every wal::kFsyncIntervalUs (GeoNode does, on its event loop).
 #pragma once
 
 #include <cstdint>
@@ -69,11 +69,9 @@ struct GeoDurabilityOptions {
   std::uint32_t num_dcs = 0;
   std::uint32_t partitions = 0;
   wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
-  std::uint64_t fsync_interval_us = 5'000;
   // Snapshot() is cheap to skip: SnapshotDue() gates on this many log bytes
   // appended since the last snapshot.
   std::uint64_t snapshot_interval_bytes = 1u << 20;
-  bool threaded = false;
 };
 
 class GeoDurability final : public DurabilityHooks {
@@ -121,8 +119,9 @@ class GeoDurability final : public DurabilityHooks {
   void Snapshot(const DatacenterRuntime& runtime, const SessionMap* sessions,
                 Timestamp install_truncate_mark);
 
-  // Blocks until everything logged so far is written (and synced, unless
-  // the policy is kOff). A kill -9 never reaches this; clean shutdowns do.
+  // Syncs everything logged so far, unless the policy is kOff. Clean
+  // shutdowns call it, and so does the kInterval time bound; a kill -9
+  // never reaches it.
   void Flush();
 
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
@@ -135,7 +134,6 @@ class GeoDurability final : public DurabilityHooks {
               const std::string& payload);
 
   const GeoDurabilityOptions options_;
-  const wal::LogWriter::Options writer_options_;
   std::vector<std::unique_ptr<wal::LogWriter>> install_logs_;  // per partition
   std::unique_ptr<wal::LogWriter> inbound_log_;
   // Per-partition max local timestamp ever logged: snapshotted so truncated

@@ -77,11 +77,7 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
     dopts.num_dcs = options_.config.num_dcs;
     dopts.partitions = options_.config.partitions_per_dc;
     dopts.fsync = options_.fsync;
-    dopts.fsync_interval_us = options_.fsync_interval_us;
     dopts.snapshot_interval_bytes = options_.snapshot_interval_bytes;
-    // The event loop already serializes every append; a writer thread
-    // would only reorder fsyncs against the acks that assume them.
-    dopts.threaded = false;
     durability_ = std::make_unique<GeoDurability>(std::move(dopts));
   }
   // Real nodes read one shared monotonic clock through Environment::Now();
@@ -290,6 +286,9 @@ void GeoNode::Start() {
       if (options_.fsync == wal::FsyncPolicy::kPerCommit) {
         AckTick();
       }
+      if (options_.fsync == wal::FsyncPolicy::kInterval) {
+        FsyncTick();
+      }
       SnapshotTick();
     }
     if (telemetry_ != nullptr) {
@@ -341,6 +340,17 @@ void GeoNode::SnapshotTick() {
   }
   loop_.ScheduleAfter(options_.snapshot_check_interval_us,
                       [this] { SnapshotTick(); });
+}
+
+void GeoNode::FsyncTick() {
+  if (stopped_.load()) {
+    return;
+  }
+  // Appends only sync by bytes; this is the time half of kInterval, so a
+  // quiet node cannot hold an install un-synced indefinitely. A no-op when
+  // nothing is un-synced.
+  durability_->Flush();
+  loop_.ScheduleAfter(wal::kFsyncIntervalUs, [this] { FsyncTick(); });
 }
 
 void GeoNode::MetricsTick() {

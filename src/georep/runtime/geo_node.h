@@ -82,8 +82,9 @@ class GeoNode final : private Environment {
     // only incremental catch-up from peers (resume_from in its hellos names
     // the recovered frontier). The disk must outlive the node.
     wal::Disk* durability_disk = nullptr;
+    // kInterval: inline appends, synced every wal::kFsyncIntervalBytes or
+    // every wal::kFsyncIntervalUs (a loop timer), whichever comes first.
     wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
-    std::uint64_t fsync_interval_us = 5'000;  // kInterval policy only
     // Snapshot when at least snapshot_interval_bytes of log accumulated,
     // checked every snapshot_check_interval_us.
     std::uint64_t snapshot_check_interval_us = 250'000;
@@ -236,6 +237,7 @@ class GeoNode final : private Environment {
   // Periodic durable-node duties (self-rescheduling loop timers).
   void AckTick();
   void SnapshotTick();
+  void FsyncTick();  // kInterval only: the time bound on un-synced bytes
   // Self-rescheduling loop timer (Options::metrics only): samples the
   // receiver queue gauges and delta-mirrors the runtime's cumulative
   // counters into the registry. Runs on the loop thread, so it reads

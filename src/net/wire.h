@@ -97,9 +97,6 @@ enum class WireError : std::uint8_t {
 
 const char* WireErrorName(WireError error);
 
-// CRC-32 (the IEEE 802.3 polynomial, as used by zlib).
-std::uint32_t Crc32(const void* data, std::size_t size);
-
 // A decoded frame: type + session sequence + raw payload bytes.
 //
 // `payload` is a zero-copy view into the decoder's input (the caller's

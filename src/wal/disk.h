@@ -83,8 +83,8 @@ class PosixDisk final : public Disk {
   bool ok_ = false;
 };
 
-// In-memory disk with explicit durability tracking. Thread-safe (the
-// threaded LogWriter appends from its writer thread while tests inspect),
+// In-memory disk with explicit durability tracking. Thread-safe (producers
+// append, a maintenance thread compacts and tests inspect concurrently),
 // and survives the components writing to it — the chaos harness owns one
 // per datacenter across crash/restart cycles, exactly like a real disk
 // survives a process.

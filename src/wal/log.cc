@@ -1,87 +1,17 @@
 #include "src/wal/log.h"
 
-#include <array>
-
+#include "src/common/crc32.h"
 #include "src/net/wire_io.h"
 
 namespace eunomia::wal {
-
-namespace {
-
-// Slice-by-8 CRC-32: eight derived tables let the hot loop fold eight bytes
-// per iteration instead of one. Table 0 alone is the classic byte-at-a-time
-// table (used for the sub-8-byte tail), and the derived tables are defined
-// so the result is bit-identical to the byte-at-a-time computation — the
-// on-disk format does not change, only the cost of producing it. This
-// matters because every logged batch is checksummed on the commit path: on
-// small hosts the checksum was the single largest WAL overhead.
-struct CrcTables {
-  std::uint32_t t[8][256];
-};
-
-const CrcTables& Tables() {
-  static const CrcTables tables = [] {
-    CrcTables tb{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-      }
-      tb.t[0][i] = crc;
-    }
-    for (int k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        tb.t[k][i] = (tb.t[k - 1][i] >> 8) ^ tb.t[0][tb.t[k - 1][i] & 0xFFu];
-      }
-    }
-    return tb;
-  }();
-  return tables;
-}
-
-}  // namespace
-
-std::uint32_t Crc32Update(std::uint32_t state, const void* data,
-                          std::size_t size) {
-  const CrcTables& tb = Tables();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = state;
-  while (size >= 8) {
-    // Byte-assembled little-endian loads; compilers fold each into one
-    // 32-bit load on LE targets, and the result is endian-independent.
-    const std::uint32_t lo =
-        static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-        (static_cast<std::uint32_t>(p[2]) << 16) |
-        (static_cast<std::uint32_t>(p[3]) << 24);
-    const std::uint32_t hi =
-        static_cast<std::uint32_t>(p[4]) | (static_cast<std::uint32_t>(p[5]) << 8) |
-        (static_cast<std::uint32_t>(p[6]) << 16) |
-        (static_cast<std::uint32_t>(p[7]) << 24);
-    crc ^= lo;
-    crc = tb.t[7][crc & 0xFFu] ^ tb.t[6][(crc >> 8) & 0xFFu] ^
-          tb.t[5][(crc >> 16) & 0xFFu] ^ tb.t[4][crc >> 24] ^
-          tb.t[3][hi & 0xFFu] ^ tb.t[2][(hi >> 8) & 0xFFu] ^
-          tb.t[1][(hi >> 16) & 0xFFu] ^ tb.t[0][hi >> 24];
-    p += 8;
-    size -= 8;
-  }
-  while (size-- > 0) {
-    crc = (crc >> 8) ^ tb.t[0][(crc ^ *p++) & 0xFFu];
-  }
-  return crc;
-}
-
-std::uint32_t Crc32(const void* data, std::size_t size) {
-  return Crc32Final(Crc32Update(Crc32Seed(), data, size));
-}
 
 void BuildRecordHeader(char (&out)[kRecordHeaderBytes], std::uint8_t type,
                        std::string_view payload) {
   // CRC covers the type byte followed by the payload, so a record whose
   // payload survived but whose type byte was mangled still fails closed.
   // Computed incrementally: the covered region is never materialized.
-  std::uint32_t crc = Crc32Update(Crc32Seed(), &type, 1);
-  crc = Crc32Final(Crc32Update(crc, payload.data(), payload.size()));
+  const std::uint32_t crc =
+      Crc32Update(Crc32(&type, 1), payload.data(), payload.size());
   net::wire::io::StoreU32(out, kRecordMagic);
   out[4] = static_cast<char>(type);
   out[5] = out[6] = out[7] = '\0';
@@ -122,9 +52,7 @@ LogState ScanLog(std::string_view bytes,
       return torn(offset);
     }
     const char* payload = header + kRecordHeaderBytes;
-    std::uint32_t computed = Crc32Update(Crc32Seed(), &type, 1);
-    computed = Crc32Final(Crc32Update(computed, payload, length));
-    if (computed != crc) {
+    if (Crc32Update(Crc32(&type, 1), payload, length) != crc) {
       return torn(offset);
     }
     visit(RecordView{type, std::string_view(payload, length),

@@ -21,10 +21,8 @@
 // corrupt bytes never propagate into recovery.
 //
 // Encoding reuses the header-only codecs in src/net/wire_io.h so the byte
-// discipline (little-endian, explicit widths) matches the rest of the tree.
-// The CRC implementation is local to src/wal (the wire one lives in the
-// net library, which links *after* wal); wal_test pins the two to be
-// byte-for-byte identical so they cannot drift apart.
+// discipline (little-endian, explicit widths) matches the rest of the tree,
+// and the CRC is the wire's own (src/common/crc32.h).
 #pragma once
 
 #include <cstddef>
@@ -41,19 +39,6 @@ inline constexpr std::size_t kRecordHeaderBytes = 16;
 // Same ceiling as a wire frame: nothing the WAL stores legitimately
 // approaches this, so a larger length field is corruption, not data.
 inline constexpr std::size_t kMaxRecordBytes = 16u << 20;
-
-// CRC-32 (IEEE 802.3, reflected). Matches net::wire::Crc32 exactly.
-std::uint32_t Crc32(const void* data, std::size_t size);
-
-// Incremental form, for checksumming a logical region without materializing
-// it: Crc32(concat(a, b)) == Crc32Final(Crc32Update(Crc32Update(Crc32Seed(),
-// a...), b...)). The hot path is slice-by-8 (see log.cc).
-inline constexpr std::uint32_t Crc32Seed() { return 0xFFFFFFFFu; }
-std::uint32_t Crc32Update(std::uint32_t state, const void* data,
-                          std::size_t size);
-inline constexpr std::uint32_t Crc32Final(std::uint32_t state) {
-  return state ^ 0xFFFFFFFFu;
-}
 
 struct Record {
   std::uint8_t type = 0;

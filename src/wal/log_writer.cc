@@ -52,27 +52,11 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "?";
 }
 
-LogWriter::LogWriter(Disk* disk, std::string name, const Options& options)
-    : disk_(disk), name_(std::move(name)), options_(options) {
-  {
-    sync::MutexLock lock(mu_);
-    file_ = disk_->OpenAppend(name_);
-    failed_ = file_ == nullptr;
-  }
-  if (options_.threaded) {
-    writer_ = std::thread([this] { WriterLoop(); });
-  }
-}
-
-LogWriter::~LogWriter() {
-  {
-    sync::MutexLock lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.NotifyAll();
-  if (writer_.joinable()) {
-    writer_.join();
-  }
+LogWriter::LogWriter(Disk* disk, std::string name, FsyncPolicy policy)
+    : disk_(disk), name_(std::move(name)), policy_(policy) {
+  sync::MutexLock lock(mu_);
+  file_ = disk_->OpenAppend(name_);
+  failed_ = file_ == nullptr;
 }
 
 bool LogWriter::SyncLocked() {
@@ -80,181 +64,33 @@ bool LogWriter::SyncLocked() {
     failed_ = true;
     return false;
   }
-  durable_seq_ = written_seq_;
   unsynced_bytes_ = 0;
   return true;
 }
 
 bool LogWriter::Append(std::uint8_t type, std::string_view payload) {
-  if (!options_.threaded) {
-    // Inline mode: encode and write right here, deterministically.
-    sync::MutexLock lock(mu_);
-    if (failed_) {
-      return false;
-    }
-    std::string frame;
-    AppendRecord(&frame, type, payload);
-    if (file_ == nullptr || !file_->Append(frame)) {
-      failed_ = true;
-      return false;
-    }
-    bytes_appended_.fetch_add(frame.size(), std::memory_order_relaxed);
-    batches_written_.fetch_add(1, std::memory_order_relaxed);
-    WalMetrics::Get().appended_bytes->Add(frame.size());
-    written_seq_ = ++appended_seq_;
-    switch (options_.policy) {
-      case FsyncPolicy::kPerCommit:
-        return SyncLocked();
-      case FsyncPolicy::kInterval:
-        unsynced_bytes_ += frame.size();
-        if (unsynced_bytes_ >= options_.interval_bytes) {
-          return SyncLocked();
-        }
-        return true;
-      case FsyncPolicy::kOff:
-        return true;
-    }
-    return true;
-  }
-
-  // Threaded mode: checksum and header outside the lock, so a large record
-  // never stalls the writer thread or a concurrent committer behind the
-  // CRC. The record is never materialized separately — header from the
-  // stack plus the caller's payload go straight into the queue, which is
-  // one 56KB-class copy (and one allocation) less per logged batch.
-  char header[kRecordHeaderBytes];
-  BuildRecordHeader(header, type, payload);
-  std::uint64_t my_seq = 0;
-  bool wake_writer = false;
-  {
-    sync::MutexLock lock(mu_);
-    if (failed_) {
-      return false;
-    }
-    // The writer only sleeps on an empty queue (or paused, and Compact does
-    // its own wakeup): appending behind existing bytes means the writer is
-    // awake and will drain ours in the same pass, so the futex syscall per
-    // append collapses to one per wake-sleep cycle. On a single-core host
-    // those wakeups were a measurable slice of the WAL's cost.
-    wake_writer = pending_.empty();
-    pending_.append(header, kRecordHeaderBytes);
-    pending_.append(payload.data(), payload.size());
-    my_seq = ++appended_seq_;
-    pending_seq_ = my_seq;
-  }
-  if (wake_writer) {
-    // Signal after unlocking: signaling with the mutex held wakes the writer
-    // straight into a block on mu_ (no wait morphing), doubling the context
-    // switches on the append fast path.
-    work_cv_.NotifyOne();
-  }
-  if (options_.policy != FsyncPolicy::kPerCommit) {
-    return true;
-  }
-  // Group commit: block until the writer thread has made this record's
-  // batch durable. Committers queueing up here all ride the same fsync.
   sync::MutexLock lock(mu_);
-  ++waiters_;
-  while (durable_seq_ < my_seq && !failed_) {
-    done_cv_.Wait(mu_);
+  if (failed_) {
+    return false;
   }
-  --waiters_;
-  return !failed_;
-}
-
-void LogWriter::WriterLoop() {
-  using Clock = std::chrono::steady_clock;
-  auto last_sync = Clock::now();
-  const auto interval = std::chrono::microseconds(options_.interval_us);
-  for (;;) {
-    std::string batch;
-    std::uint64_t batch_seq = 0;
-    File* file = nullptr;
-    {
-      sync::MutexLock lock(mu_);
-      bool sync_owed = false;
-      for (;;) {
-        if (stop_ && pending_.empty()) {
-          // Drained. Deliberately no final sync: durability is defined by
-          // the policy alone, so tests of "what survives kill -9" mean what
-          // they say. Clean shutdowns call Flush() first.
-          return;
-        }
-        if (paused_) {
-          // Compact() owns the file while paused and folds pending_ into
-          // its rewrite itself; just stay out of the way.
-          work_cv_.Wait(mu_);
-          continue;
-        }
-        if (!pending_.empty()) {
-          break;
-        }
-        if (sync_target_ > durable_seq_ || sync_target_ > written_seq_) {
-          sync_owed = true;  // a Flush() is waiting
-          break;
-        }
-        if (options_.policy == FsyncPolicy::kInterval &&
-            written_seq_ > durable_seq_) {
-          // Idle with un-synced bytes: sync when the window expires.
-          const auto deadline = last_sync + interval;
-          if (Clock::now() >= deadline) {
-            sync_owed = true;
-            break;
-          }
-          work_cv_.WaitUntil(mu_, deadline);
-          continue;
-        }
-        work_cv_.Wait(mu_);
-      }
-      if (sync_owed) {
-        if (SyncLocked()) {
-          last_sync = Clock::now();
-        }
-        if (waiters_ > 0) {
-          done_cv_.NotifyAll();
-        }
-        continue;
-      }
-      batch = std::move(pending_);
-      pending_.clear();
-      batch_seq = pending_seq_;
-      in_flight_ = true;
-      file = file_.get();  // stays valid: Compact() waits for !in_flight_
-    }
-    // Write outside the lock so committers can keep queueing the next group
-    // while this one is on its way to the platter.
-    const bool ok = file != nullptr && file->Append(batch);
-    bool notify_done;
-    {
-      sync::MutexLock lock(mu_);
-      in_flight_ = false;
-      if (!ok) {
-        failed_ = true;
-      } else {
-        written_seq_ = batch_seq;
-        bytes_appended_.fetch_add(batch.size(), std::memory_order_relaxed);
-        batches_written_.fetch_add(1, std::memory_order_relaxed);
-        WalMetrics::Get().appended_bytes->Add(batch.size());
-        const bool want_sync =
-            options_.policy == FsyncPolicy::kPerCommit ||
-            sync_target_ > durable_seq_ ||
-            (options_.policy == FsyncPolicy::kInterval &&
-             Clock::now() - last_sync >= interval);
-        if (want_sync && SyncLocked()) {
-          last_sync = Clock::now();
-        }
-      }
-      // Nobody to wake means no broadcast: under kInterval / kOff nothing
-      // ever waits on done_cv_ outside Flush() and Compact(), so the
-      // per-batch futex broadcast was pure syscall overhead. A committer or
-      // flusher that registers after we drop the lock sees our state update
-      // and either doesn't wait at all or waits for a later batch.
-      notify_done = failed_ || waiters_ > 0;
-    }
-    if (notify_done) {
-      done_cv_.NotifyAll();  // after unlocking, as above
-    }
+  std::string frame;
+  AppendRecord(&frame, type, payload);
+  if (file_ == nullptr || !file_->Append(frame)) {
+    failed_ = true;
+    return false;
   }
+  bytes_appended_.fetch_add(frame.size(), std::memory_order_relaxed);
+  WalMetrics::Get().appended_bytes->Add(frame.size());
+  unsynced_bytes_ += frame.size();
+  switch (policy_) {
+    case FsyncPolicy::kPerCommit:
+      return SyncLocked();
+    case FsyncPolicy::kInterval:
+      return unsynced_bytes_ < kFsyncIntervalBytes || SyncLocked();
+    case FsyncPolicy::kOff:
+      return true;
+  }
+  return true;
 }
 
 bool LogWriter::Flush() {
@@ -262,58 +98,16 @@ bool LogWriter::Flush() {
   if (failed_) {
     return false;
   }
-  if (!options_.threaded) {
-    if (options_.policy == FsyncPolicy::kOff ||
-        durable_seq_ == written_seq_) {
-      return true;
-    }
-    return SyncLocked();
+  if (policy_ == FsyncPolicy::kOff || unsynced_bytes_ == 0) {
+    return true;
   }
-  const std::uint64_t target = appended_seq_;
-  ++waiters_;
-  if (options_.policy != FsyncPolicy::kOff) {
-    if (target > sync_target_) {
-      sync_target_ = target;
-    }
-    work_cv_.NotifyAll();
-    while (durable_seq_ < target && !failed_) {
-      done_cv_.Wait(mu_);
-    }
-  } else {
-    work_cv_.NotifyAll();
-    while (written_seq_ < target && !failed_) {
-      done_cv_.Wait(mu_);
-    }
-  }
-  --waiters_;
-  return !failed_;
+  return SyncLocked();
 }
 
 bool LogWriter::Compact(const std::function<bool(const RecordView&)>& keep) {
   sync::MutexLock lock(mu_);
-  paused_ = true;
-  work_cv_.NotifyAll();
-  // Quiesce only the batch already on its way to disk. Records still queued
-  // in pending_ are folded into the rewrite below instead of waiting for the
-  // (paused) writer to drain them — waiting on pending_ here deadlocks,
-  // because a committer can queue a record between our waits and the paused
-  // writer will never clear it.
-  ++waiters_;
-  while (in_flight_) {
-    done_cv_.Wait(mu_);
-  }
-  --waiters_;
   std::string bytes;
   disk_->ReadAll(name_, &bytes);
-  if (!pending_.empty()) {
-    // These frames were never handed to the file; the synced WriteAtomic
-    // below lands them durably, so written_seq_ may advance to match.
-    bytes += pending_;
-    bytes_appended_.fetch_add(pending_.size(), std::memory_order_relaxed);
-    WalMetrics::Get().appended_bytes->Add(pending_.size());
-    pending_.clear();
-    written_seq_ = pending_seq_;
-  }
   // Scan in place and splice surviving frames verbatim: the frames are
   // already valid (the CRC vouched for them), so the rewrite costs one pass
   // plus the kept bytes — no payload copies, no re-framing, no re-CRC. A
@@ -332,20 +126,13 @@ bool LogWriter::Compact(const std::function<bool(const RecordView&)>& keep) {
   }
   if (!ok) {
     failed_ = true;
+    return false;
   }
   // The rewrite is durable in full (WriteAtomic syncs), so everything
-  // written so far is durable too.
-  durable_seq_ = written_seq_;
+  // appended so far is durable too.
   unsynced_bytes_ = 0;
-  paused_ = false;
-  work_cv_.NotifyAll();
-  // Committers group-committing on done_cv_ may have had their records
-  // folded into the rewrite; their durability target is now met.
-  done_cv_.NotifyAll();
-  if (ok) {
-    WalMetrics::Get().compactions->Increment();
-  }
-  return ok;
+  WalMetrics::Get().compactions->Increment();
+  return true;
 }
 
 LogState RecoverLog(Disk* disk, const std::string& name,

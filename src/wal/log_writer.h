@@ -1,41 +1,38 @@
-// Group-commit append pipeline for one log file.
+// Append pipeline for one log file.
 //
 // A LogWriter owns the append handle for a single log and serializes all
-// record appends through it. Two operating modes:
-//
-//   - threaded=true (the daemons): Append() encodes the record, enqueues it,
-//     and wakes a dedicated log-writer thread. The thread drains *everything*
-//     queued — records that arrived while the previous batch was being
-//     written coalesce into one write(2) and at most one fsync(2): classic
-//     group commit. Under FsyncPolicy::kPerCommit, Append() blocks until the
-//     record's batch is durable, so "acked implies on disk" holds while
-//     concurrent committers still share fsyncs.
-//   - threaded=false (simulator / deterministic chaos): Append() writes
-//     inline. No extra thread, no nondeterminism; durability is whatever the
-//     fsync policy says it is, byte-for-byte reproducible under MemDisk.
+// record appends through it. Append() encodes the record and writes it
+// inline on the caller's thread: no extra thread, no nondeterminism, so
+// durability is whatever the fsync policy says it is, byte-for-byte
+// reproducible under MemDisk.
 //
 // Fsync policy:
-//   kPerCommit — every batch is synced before its committers unblock.
-//   kInterval  — sync at most once per interval (time-based when threaded,
-//                bytes-based when inline); a crash loses at most the window.
-//   kOff       — never sync; a crash loses everything since the last
-//                explicit Flush(). For benchmarks and tests.
+//   kPerCommit — every record is synced before Append() returns.
+//   kInterval  — synced every kFsyncIntervalBytes of appends, or sooner by
+//                an explicit Flush(). The time half of the bound (a written
+//                byte stays un-synced at most kFsyncIntervalUs) is the
+//                owner's job: ServiceWal's maintenance thread and GeoNode's
+//                event loop call Flush() every kFsyncIntervalUs. The writer
+//                itself never reads a clock, so a simulated schedule stays
+//                deterministic.
+//   kOff       — never sync; a crash loses every record appended since the
+//                last Compact(). For benchmarks and tests.
 //
 // Compact(keep) rewrites the log atomically, dropping records the filter
-// rejects — the truncation half of the snapshot protocol. It quiesces the
-// in-flight write, folds anything still queued into the rewrite, swaps the
-// file via Disk::WriteAtomic, and resumes; kept records are copied frame-
-// verbatim (no re-encode, no re-CRC), so a rewrite costs one scan plus the
-// surviving bytes.
+// rejects — the truncation half of the snapshot protocol. It swaps the file
+// via Disk::WriteAtomic while holding the append lock, so it may race
+// appends from other threads; kept records are copied frame-verbatim (no
+// re-encode, no re-CRC), so a rewrite costs one scan plus the surviving
+// bytes.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "src/common/sync.h"
 #include "src/wal/disk.h"
@@ -53,36 +50,25 @@ enum class FsyncPolicy {
 bool ParseFsyncPolicy(std::string_view text, FsyncPolicy* out);
 const char* FsyncPolicyName(FsyncPolicy policy);
 
+// kInterval's two bounds, in bytes (enforced by the writer) and in time
+// (enforced by the owner calling Flush(); see the file comment).
+inline constexpr std::size_t kFsyncIntervalBytes = 64u << 10;
+inline constexpr std::uint64_t kFsyncIntervalUs = 5000;
+
 class LogWriter {
  public:
-  struct Options {
-    FsyncPolicy policy = FsyncPolicy::kPerCommit;
-    // kInterval, threaded: maximum time a written byte stays un-synced.
-    std::uint64_t interval_us = 5000;
-    // kInterval, inline: sync once this many bytes accumulate un-synced.
-    std::size_t interval_bytes = 64u << 10;
-    bool threaded = false;
-  };
-
   // Reads-and-repairs is the caller's job (RecoverLog) *before* constructing
   // the writer; the writer only ever appends.
-  LogWriter(Disk* disk, std::string name, const Options& options);
-
-  // Drains queued appends (without a final sync — kill -9 semantics are
-  // defined purely by what Sync already covered; call Flush() first for a
-  // clean shutdown).
-  ~LogWriter();
+  LogWriter(Disk* disk, std::string name, FsyncPolicy policy);
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
-  // Appends one framed record. Blocks for durability only under
-  // kPerCommit; otherwise returns as soon as the record is queued (threaded)
-  // or written (inline). False if the underlying write failed.
+  // Appends one framed record; under kPerCommit it is synced before this
+  // returns. False if the underlying write or sync failed.
   bool Append(std::uint8_t type, std::string_view payload);
 
-  // Blocks until everything appended so far is written, and synced unless
-  // the policy is kOff.
+  // Syncs everything appended so far, unless the policy is kOff.
   bool Flush();
 
   // Atomically rewrites the log keeping only records `keep` accepts. The
@@ -93,39 +79,22 @@ class LogWriter {
   std::uint64_t bytes_appended() const {
     return bytes_appended_.load(std::memory_order_relaxed);
   }
-  std::uint64_t batches_written() const {
-    return batches_written_.load(std::memory_order_relaxed);
-  }
 
  private:
-  void WriterLoop();
   bool SyncLocked() REQUIRES(mu_);
 
   Disk* const disk_;
   const std::string name_;
-  const Options options_;
+  const FsyncPolicy policy_;
 
-  mutable sync::Mutex mu_{"LogWriter::mu_", sync::kRankWalWriter};
-  sync::CondVar work_cv_;  // writer thread: work available / unpause
-  sync::CondVar done_cv_;  // committers: batch written/durable
+  // Serializes appends against each other and against Compact, which
+  // ServiceWal's maintenance thread runs while producers append.
+  sync::Mutex mu_{"LogWriter::mu_", sync::kRankWalWriter};
   std::unique_ptr<File> file_ GUARDED_BY(mu_);
-  std::string pending_ GUARDED_BY(mu_);       // encoded, not yet written
-  std::uint64_t appended_seq_ GUARDED_BY(mu_) = 0;
-  std::uint64_t pending_seq_ GUARDED_BY(mu_) = 0;   // seq of last in pending_
-  std::uint64_t written_seq_ GUARDED_BY(mu_) = 0;
-  std::uint64_t durable_seq_ GUARDED_BY(mu_) = 0;
-  std::uint64_t sync_target_ GUARDED_BY(mu_) = 0;   // Flush() wants >= this
-  std::size_t unsynced_bytes_ GUARDED_BY(mu_) = 0;  // inline kInterval only
-  std::uint32_t waiters_ GUARDED_BY(mu_) = 0;       // blocked on done_cv_
-  // Written under mu_, read without it (see accessors above).
+  std::size_t unsynced_bytes_ GUARDED_BY(mu_) = 0;
+  bool failed_ GUARDED_BY(mu_) = false;  // a disk write failed
+  // Written under mu_, read without it (see the accessor above).
   std::atomic<std::uint64_t> bytes_appended_{0};
-  std::atomic<std::uint64_t> batches_written_{0};
-  bool in_flight_ GUARDED_BY(mu_) = false;  // writer is mid-batch
-  bool paused_ GUARDED_BY(mu_) = false;     // Compact() quiesce
-  bool failed_ GUARDED_BY(mu_) = false;     // a disk write failed
-  bool stop_ GUARDED_BY(mu_) = false;
-
-  std::thread writer_;  // joined in the destructor when threaded
 };
 
 // Reads and parses log `name`. A missing file is an empty, clean log. If a

@@ -5,7 +5,7 @@
 namespace eunomia::wal {
 
 WalMetrics& WalMetrics::Get() {
-  // Leaked: recorded into from writer threads that may outlive main().
+  // Leaked: recorded into from producer threads that may outlive main().
   static WalMetrics* instance = [] {
     metrics::Registry& registry = metrics::Registry::Default();
     auto* m = new WalMetrics();

@@ -2,12 +2,12 @@
 // real per-datacenter WAL inside the deterministic simulator, torn-tail and
 // bit-flip repair, snapshot-driven log truncation, recovery from an empty
 // disk, the durability handshake codecs (hello resume_from, durable acks),
-// and a kill/restart of the real-TCP GeoNode binding on a surviving
-// in-memory disk.
+// a kill/restart of the real-TCP GeoNode binding on a surviving in-memory
+// disk, and the time bound of its fsync=interval policy.
 //
 // Everything under the sim binding is deterministic: fixed seeds, inline
-// (unthreaded) log writers, and a fault-injecting FaultyDisk whose torn
-// writes and bit flips replay bit-for-bit from the seed.
+// log writers, and a fault-injecting FaultyDisk whose torn writes and bit
+// flips replay bit-for-bit from the seed.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -364,6 +364,64 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   // cycle so it can be reclaimed.
   *issue = nullptr;
   SUCCEED() << "retained history at end: " << retained;
+}
+
+// fsync=interval bounds un-synced bytes by time, not only by volume: a quiet
+// node whose one install is far below the 64 KiB byte threshold must still
+// sync it within a few wal::kFsyncIntervalUs, so a crash after that window
+// keeps it.
+TEST(GeoNodeTcpDurable, IntervalFsyncSyncsAQuietInstallWithinTheInterval) {
+  using geo::rt::GeoNode;
+  wal::MemDisk disk;
+  GeoNode::Options options;
+  options.dc = 0;
+  options.config = SmallConfig(1, false);
+  options.durability_disk = &disk;
+  options.fsync = wal::FsyncPolicy::kInterval;
+
+  auto transport = std::make_unique<net::EpollTransport>();
+  auto node = std::make_unique<GeoNode>(transport.get(), options);
+  ASSERT_FALSE(node->Listen("127.0.0.1:0").empty());
+  node->Start();
+  std::atomic<bool> installed{false};
+  node->ClientUpdate(100, /*key=*/7, "quiet", [&installed] {
+    installed.store(true);
+  });
+  for (int i = 0; i < 1000 && !installed.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(installed.load());
+
+  // Give the interval sync a generous number of windows to land (it needs
+  // one), then lose everything un-synced while the node is still running.
+  const std::uint64_t syncs_at_install = disk.syncs();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (disk.syncs() == syncs_at_install &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(wal::kFsyncIntervalUs));
+  }
+  disk.Crash();
+  node.reset();  // its shutdown Flush cannot bring the lost bytes back
+  transport.reset();
+
+  transport = std::make_unique<net::EpollTransport>();
+  node = std::make_unique<GeoNode>(transport.get(), options);
+  node->Start();
+  std::string value;
+  node->RunBlocking([&] {
+    for (PartitionId p = 0; p < options.config.partitions_per_dc; ++p) {
+      node->runtime().StoreAt(p).ForEach(
+          [&value](Key key, const geo::GeoVersion& v) {
+            if (key == 7) {
+              value = v.value;
+            }
+          });
+    }
+  });
+  node->Stop();
+  EXPECT_EQ(value, "quiet") << "the install was never synced";
 }
 
 }  // namespace

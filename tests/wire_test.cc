@@ -298,11 +298,5 @@ TEST(WireTest, FrameBodyBuildersMatchEncodeFrame) {
   EXPECT_EQ(stable_frame, stable_expected);
 }
 
-TEST(WireTest, CrcMatchesKnownVector) {
-  // The zlib CRC-32 of "123456789" is the classic 0xCBF43926 check value —
-  // pins the polynomial and bit order against accidental change.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-}
-
 }  // namespace
 }  // namespace eunomia::net::wire
