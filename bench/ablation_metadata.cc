@@ -56,15 +56,16 @@ VisStats Measure(bool scalar_metadata, DatacenterId origin, DatacenterId dest) {
   driver.Stop();
   sim.RunUntil(workload.duration_us + 3 * sim::kSecond);
 
-  const Cdf* vis = system.tracker().Visibility(origin, dest);
+  const auto* vis = system.tracker().VisibilityHistogram(origin, dest);
   VisStats stats;
-  if (vis != nullptr && vis->count() > 0) {
+  if (vis != nullptr) {
     // Artificial delay + the (origin,dest) one-way network latency gives the
     // end-to-end visibility latency the paper's §4 discussion refers to.
     const double leg_ms =
         static_cast<double>(config.network.wan_one_way_us[origin][dest]) / 1000.0;
-    stats.p50_ms = vis->Quantile(0.50) / 1000.0 + leg_ms;
-    stats.p95_ms = vis->Quantile(0.95) / 1000.0 + leg_ms;
+    const auto snap = vis->Snap();
+    stats.p50_ms = static_cast<double>(snap.Quantile(0.50)) / 1000.0 + leg_ms;
+    stats.p95_ms = static_cast<double>(snap.Quantile(0.95)) / 1000.0 + leg_ms;
   }
   return stats;
 }

@@ -281,10 +281,10 @@ TransportRunResult RunGeoNodes(const std::string& kind, bool smoke) {
   }
   // Visibility of dc0's updates observed at dc1, from dc1's tracker.
   nodes[1]->RunBlocking([&] {
-    if (const Cdf* vis = nodes[1]->tracker().Visibility(0, 1);
-        vis != nullptr && vis->count() > 0) {
-      result.vis_p50_ms = vis->Quantile(0.50) / 1000.0;
-      result.vis_p95_ms = vis->Quantile(0.95) / 1000.0;
+    if (const auto* vis = nodes[1]->tracker().VisibilityHistogram(0, 1)) {
+      const auto snap = vis->Snap();
+      result.vis_p50_ms = static_cast<double>(snap.Quantile(0.50)) / 1000.0;
+      result.vis_p95_ms = static_cast<double>(snap.Quantile(0.95)) / 1000.0;
     }
   });
   for (auto& node : nodes) {

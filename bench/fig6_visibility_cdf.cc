@@ -34,8 +34,8 @@ using harness::Table;
 // The CDFs come from the tracker's exported visibility histograms — the
 // same series a live node scrapes as eunomia_georep_visibility_latency_
 // microseconds — so the figure and a production dashboard read one stream.
-// Log-linear buckets quantize quantiles to ~2% relative error, invisible at
-// the figure's millisecond scale.
+// A quantile is its bucket's upper bound, at most 1/32 (~3%) above the
+// exact sample — invisible at the figure's millisecond scale.
 struct SystemCdfs {
   std::string name;
   metrics::Histogram::Snapshot left;   // dc0 -> dc1

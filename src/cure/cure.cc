@@ -164,16 +164,14 @@ void CureSystem::AdvanceGss(Partition& part, const VectorTimestamp& gss) {
 void CureSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
                             std::function<void()> done) {
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
   const std::uint64_t cost =
       config_.costs.read_us + config_.costs.multiversion_us +
       config_.costs.vclock_entry_us * config_.num_dcs;
   sim_->ScheduleAfter(hop, [this, &part, client, key, done = std::move(done),
-                            issued_at, dc, hop, cost] {
-    part.server->Submit(cost, [this, &part, client, key, done, issued_at, dc,
-                               hop] {
+                            hop, cost] {
+    part.server->Submit(cost, [this, &part, client, key, done, hop] {
       const VectorTimestamp& gss = part.gss;
       const DatacenterId self = part.dc;
       const auto* version = part.store.Get(
@@ -182,13 +180,11 @@ void CureSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
           });
       VectorTimestamp vts = version != nullptr ? version->stamp.vts
                                                : VectorTimestamp(config_.num_dcs);
-      sim_->ScheduleAfter(hop, [this, client, vts = std::move(vts), done,
-                                issued_at, dc] {
+      sim_->ScheduleAfter(hop, [this, client, vts = std::move(vts), done] {
         auto [it, inserted] =
             sessions_.try_emplace(client, VectorTimestamp(config_.num_dcs));
         it->second.MergeMax(vts);
-        tracker_.OnOpComplete(dc, /*is_update=*/false, sim_->now(),
-                              sim_->now() - issued_at);
+        tracker_.OnOpComplete(/*is_update=*/false, sim_->now());
         done();
       });
     });
@@ -198,18 +194,15 @@ void CureSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
 void CureSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
                               Value value, std::function<void()> done) {
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
   const std::uint64_t cost =
       config_.costs.update_us + config_.costs.multiversion_us +
       config_.costs.vclock_entry_us * config_.num_dcs;
   sim_->ScheduleAfter(hop, [this, &part, client, key, value = std::move(value),
-                            done = std::move(done), issued_at, dc, hop,
-                            cost]() mutable {
+                            done = std::move(done), hop, cost]() mutable {
     part.server->Submit(cost, [this, &part, client, key,
-                               value = std::move(value), done, issued_at, dc,
-                               hop]() mutable {
+                               value = std::move(value), done, hop]() mutable {
       auto [sit, inserted] =
           sessions_.try_emplace(client, VectorTimestamp(config_.num_dcs));
       const VectorTimestamp deps = sit->second;
@@ -220,7 +213,7 @@ void CureSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
       const std::uint64_t wait_us = dep_local >= phys ? (dep_local - phys + 1) : 0;
       sim_->ScheduleAfter(wait_us, [this, &part, client, key,
                                     value = std::move(value), deps, done,
-                                    issued_at, dc, hop]() mutable {
+                                    hop]() mutable {
         const Timestamp phys_now = part.clock.Read(sim_->now());
         const Timestamp ts = std::max(phys_now, part.max_ts + 1);
         part.max_ts = ts;
@@ -242,9 +235,8 @@ void CureSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
         if (it != sessions_.end()) {
           it->second = vts;
         }
-        sim_->ScheduleAfter(hop, [this, done, issued_at, dc] {
-          tracker_.OnOpComplete(dc, /*is_update=*/true, sim_->now(),
-                                sim_->now() - issued_at);
+        sim_->ScheduleAfter(hop, [this, done] {
+          tracker_.OnOpComplete(/*is_update=*/true, sim_->now());
           done();
         });
       });

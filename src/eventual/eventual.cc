@@ -39,15 +39,12 @@ void EventualSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
                                 std::function<void()> done) {
   (void)client;  // no session state: eventual consistency tracks nothing
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
-  sim_->ScheduleAfter(hop, [this, &part, done = std::move(done), issued_at, dc,
-                            hop] {
-    part.server->Submit(config_.costs.read_us, [this, done, issued_at, dc, hop] {
-      sim_->ScheduleAfter(hop, [this, done, issued_at, dc] {
-        tracker_.OnOpComplete(dc, /*is_update=*/false, sim_->now(),
-                              sim_->now() - issued_at);
+  sim_->ScheduleAfter(hop, [this, &part, done = std::move(done), hop] {
+    part.server->Submit(config_.costs.read_us, [this, done, hop] {
+      sim_->ScheduleAfter(hop, [this, done] {
+        tracker_.OnOpComplete(/*is_update=*/false, sim_->now());
         done();
       });
     });
@@ -58,14 +55,13 @@ void EventualSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
                                   Value value, std::function<void()> done) {
   (void)client;
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
   sim_->ScheduleAfter(hop, [this, &part, key, value = std::move(value),
-                            done = std::move(done), issued_at, dc, hop]() mutable {
+                            done = std::move(done), hop]() mutable {
     part.server->Submit(config_.costs.update_us, [this, &part, key,
                                                   value = std::move(value), done,
-                                                  issued_at, dc, hop]() mutable {
+                                                  hop]() mutable {
       const DatacenterId m = part.dc;
       const Timestamp ts =
           part.hybrid.TimestampUpdate(part.clock.Read(sim_->now()), 0);
@@ -95,9 +91,8 @@ void EventualSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
                       });
       }
 
-      sim_->ScheduleAfter(hop, [this, done, issued_at, dc] {
-        tracker_.OnOpComplete(dc, /*is_update=*/true, sim_->now(),
-                              sim_->now() - issued_at);
+      sim_->ScheduleAfter(hop, [this, done] {
+        tracker_.OnOpComplete(/*is_update=*/true, sim_->now());
         done();
       });
     });

@@ -148,22 +148,20 @@ void GentleRainSystem::AdvanceGst(Partition& part, Timestamp gst) {
 void GentleRainSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
                                   std::function<void()> done) {
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
   sim_->ScheduleAfter(hop, [this, &part, client, key, done = std::move(done),
-                            issued_at, dc, hop] {
+                            hop] {
     part.server->Submit(config_.costs.read_us + config_.costs.multiversion_us,
-                        [this, &part, client, key, done, issued_at, dc, hop] {
+                        [this, &part, client, key, done, hop] {
       const Timestamp gst = part.gst;
       const auto* version =
           part.store.Get(key, [gst](const ScalarStamp& s) { return s.ts <= gst; });
       const Timestamp ts = version != nullptr ? version->stamp.ts : 0;
-      sim_->ScheduleAfter(hop, [this, client, ts, done, issued_at, dc] {
+      sim_->ScheduleAfter(hop, [this, client, ts, done] {
         Timestamp& session = sessions_[client];
         session = std::max(session, ts);
-        tracker_.OnOpComplete(dc, /*is_update=*/false, sim_->now(),
-                              sim_->now() - issued_at);
+        tracker_.OnOpComplete(/*is_update=*/false, sim_->now());
         done();
       });
     });
@@ -173,15 +171,13 @@ void GentleRainSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
 void GentleRainSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
                                     Value value, std::function<void()> done) {
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
   sim_->ScheduleAfter(hop, [this, &part, client, key, value = std::move(value),
-                            done = std::move(done), issued_at, dc,
-                            hop]() mutable {
+                            done = std::move(done), hop]() mutable {
     part.server->Submit(config_.costs.update_us + config_.costs.multiversion_us,
                         [this, &part, client, key, value = std::move(value), done,
-                         issued_at, dc, hop]() mutable {
+                         hop]() mutable {
       const Timestamp dep = sessions_[client];
       const Timestamp phys = part.clock.Read(sim_->now());
       // GentleRain's clock-skew wait: the update timestamp must exceed the
@@ -189,8 +185,8 @@ void GentleRainSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
       // it (no logical catch-up).
       const std::uint64_t wait_us = dep >= phys ? (dep - phys + 1) : 0;
       sim_->ScheduleAfter(wait_us, [this, &part, client, key,
-                                    value = std::move(value), done, issued_at,
-                                    dc, hop]() mutable {
+                                    value = std::move(value), done,
+                                    hop]() mutable {
         const Timestamp phys_now = part.clock.Read(sim_->now());
         const Timestamp ts = std::max(phys_now, part.max_ts + 1);
         part.max_ts = ts;
@@ -209,9 +205,8 @@ void GentleRainSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
         }
         Timestamp& session = sessions_[client];
         session = std::max(session, ts);
-        sim_->ScheduleAfter(hop, [this, done, issued_at, dc] {
-          tracker_.OnOpComplete(dc, /*is_update=*/true, sim_->now(),
-                                sim_->now() - issued_at);
+        sim_->ScheduleAfter(hop, [this, done] {
+          tracker_.OnOpComplete(/*is_update=*/true, sim_->now());
           done();
         });
       });

@@ -213,28 +213,25 @@ void DatacenterRuntime::ClientRead(ClientId client, Key key,
 
 void DatacenterRuntime::ClientReadValue(
     ClientId client, Key key, std::function<void(const GeoVersion&)> done) {
-  const std::uint64_t issued_at = env_->Now();
   const PartitionId p = router_.Responsible(key);
   Partition& part = partitions_[p];
-  env_->ClientHop(id_, [this, &part, client, key, done = std::move(done),
-                        issued_at] {
+  env_->ClientHop(id_, [this, &part, client, key, done = std::move(done)] {
     const std::uint64_t cost =
         config_.costs.read_us + config_.costs.eunomia_metadata_us;
     env_->RunOnPartition(id_, part.id, cost, /*priority=*/false,
-                         [this, &part, client, key, done, issued_at] {
+                         [this, &part, client, key, done] {
       const GeoVersion* version = part.store.Get(key);
       GeoVersion observed = version != nullptr
                                 ? *version
                                 : GeoVersion{Value{},
                                              VectorTimestamp(config_.num_dcs),
                                              0};
-      env_->ClientHop(id_, [this, client, observed = std::move(observed), done,
-                            issued_at] {
+      env_->ClientHop(id_, [this, client, observed = std::move(observed),
+                            done] {
         auto [it, inserted] =
             sessions_->try_emplace(client, VectorTimestamp(config_.num_dcs));
         it->second.MergeMax(observed.vts);  // Alg. 1 line 4, vector form
-        tracker_->OnOpComplete(id_, /*is_update=*/false, env_->Now(),
-                               env_->Now() - issued_at);
+        tracker_->OnOpComplete(/*is_update=*/false, env_->Now());
         done(observed);
       });
     });
@@ -243,26 +240,23 @@ void DatacenterRuntime::ClientReadValue(
 
 void DatacenterRuntime::ClientUpdate(ClientId client, Key key, Value value,
                                      std::function<void()> done) {
-  const std::uint64_t issued_at = env_->Now();
   const PartitionId p = router_.Responsible(key);
   Partition& part = partitions_[p];
   env_->ClientHop(id_, [this, &part, client, key, value = std::move(value),
-                        done = std::move(done), issued_at]() mutable {
-    ExecuteUpdate(part, client, key, std::move(value), std::move(done),
-                  issued_at);
+                        done = std::move(done)]() mutable {
+    ExecuteUpdate(part, client, key, std::move(value), std::move(done));
   });
 }
 
 void DatacenterRuntime::ExecuteUpdate(Partition& part, ClientId client,
                                       Key key, Value value,
-                                      std::function<void()> done,
-                                      std::uint64_t issued_at) {
+                                      std::function<void()> done) {
   const std::uint64_t cost = config_.costs.update_us +
                              config_.costs.eunomia_metadata_us +
                              config_.costs.eunomia_update_metadata_us;
   env_->RunOnPartition(id_, part.id, cost, /*priority=*/false,
                        [this, &part, client, key, value = std::move(value),
-                        done = std::move(done), issued_at]() mutable {
+                        done = std::move(done)]() mutable {
     auto [sit, inserted] =
         sessions_->try_emplace(client, VectorTimestamp(config_.num_dcs));
     VectorTimestamp& session = sit->second;
@@ -316,14 +310,12 @@ void DatacenterRuntime::ExecuteUpdate(Partition& part, ClientId client,
     }
 
     // Reply to the client: VClock_c <- u.vts (strictly greater, §4).
-    env_->ClientHop(id_, [this, client, vts = std::move(vts), done,
-                          issued_at] {
+    env_->ClientHop(id_, [this, client, vts = std::move(vts), done] {
       auto it = sessions_->find(client);
       if (it != sessions_->end()) {
         it->second = vts;
       }
-      tracker_->OnOpComplete(id_, /*is_update=*/true, env_->Now(),
-                             env_->Now() - issued_at);
+      tracker_->OnOpComplete(/*is_update=*/true, env_->Now());
       done();
     });
   });

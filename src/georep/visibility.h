@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -115,8 +116,6 @@ class VisibilityTracker {
     const std::uint64_t arrival =
         arr != arrivals_.end() ? arr->second : inst->second.installed_us;
     const std::uint64_t artificial = t_us >= arrival ? t_us - arrival : 0;
-    auto& cdf = visibility_[{origin, dc}];
-    cdf.Add(static_cast<double>(artificial));
     auto& hist = visibility_hist_[{origin, dc}];
     if (hist == nullptr) {
       hist = MakeVisibilityHistogram(origin, dc);
@@ -140,15 +139,11 @@ class VisibilityTracker {
 
   // --- client-op accounting --------------------------------------------------
 
-  void OnOpComplete(DatacenterId dc, bool is_update, std::uint64_t t_us,
-                    std::uint64_t latency_us) {
-    (void)dc;
+  void OnOpComplete(bool is_update, std::uint64_t t_us) {
     if (is_update) {
       ++updates_completed_;
-      update_latency_.Record(latency_us);
     } else {
       ++reads_completed_;
-      read_latency_.Record(latency_us);
     }
     throughput_.Record(t_us);
   }
@@ -177,19 +172,11 @@ class VisibilityTracker {
     return windows == 0 ? 0.0 : total / static_cast<double>(windows);
   }
 
-  const LatencyHistogram& read_latency() const { return read_latency_; }
-  const LatencyHistogram& update_latency() const { return update_latency_; }
-
-  // Artificial visibility delay CDF for updates originating at `origin`
-  // observed at `dest`; nullptr if no samples.
-  const Cdf* Visibility(DatacenterId origin, DatacenterId dest) const {
-    const auto it = visibility_.find({origin, dest});
-    return it == visibility_.end() ? nullptr : &it->second;
-  }
-
-  // The same stream as Visibility() in log-linear histogram form — what the
-  // scrape endpoint exports and fig6 reads its CDF from. nullptr before the
-  // first sample for the pair.
+  // Artificial visibility delay (µs) of updates originating at `origin`
+  // observed at `dest` — what the scrape endpoint exports and every bench
+  // reads its percentiles from. Quantiles are bucket upper bounds, at most
+  // 1/32 of the value above the exact sample. nullptr before the first
+  // sample for the pair.
   const metrics::Histogram* VisibilityHistogram(DatacenterId origin,
                                                 DatacenterId dest) const {
     const auto it = visibility_hist_.find({origin, dest});
@@ -260,7 +247,6 @@ class VisibilityTracker {
   std::unordered_map<std::uint64_t, InstalledRecord> installed_;
   std::unordered_map<std::uint64_t, std::uint64_t> arrivals_;
   metrics::Registry* registry_ = nullptr;
-  std::map<std::pair<DatacenterId, DatacenterId>, Cdf> visibility_;
   std::map<std::pair<DatacenterId, DatacenterId>,
            std::shared_ptr<metrics::Histogram>>
       visibility_hist_;
@@ -268,8 +254,6 @@ class VisibilityTracker {
       visibility_timeline_;
   std::uint64_t reads_completed_ = 0;
   std::uint64_t updates_completed_ = 0;
-  LatencyHistogram read_latency_;
-  LatencyHistogram update_latency_;
   TimeSeries throughput_;
 };
 

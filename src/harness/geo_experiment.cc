@@ -76,12 +76,12 @@ GeoRunResult RunGeoExperiment(SystemKind kind, const geo::GeoConfig& config,
       tracker.Throughput(driver.measure_from_us(), driver.measure_to_us());
   result.reads = tracker.reads_completed();
   result.updates = tracker.updates_completed();
-  if (const Cdf* vis = tracker.Visibility(vis_origin, vis_dest);
-      vis != nullptr && vis->count() > 0) {
-    result.vis_p50_ms = vis->Quantile(0.50) / 1000.0;
-    result.vis_p90_ms = vis->Quantile(0.90) / 1000.0;
-    result.vis_p95_ms = vis->Quantile(0.95) / 1000.0;
-    result.vis_p99_ms = vis->Quantile(0.99) / 1000.0;
+  if (const auto* vis = tracker.VisibilityHistogram(vis_origin, vis_dest)) {
+    const auto snap = vis->Snap();
+    result.vis_p50_ms = static_cast<double>(snap.Quantile(0.50)) / 1000.0;
+    result.vis_p90_ms = static_cast<double>(snap.Quantile(0.90)) / 1000.0;
+    result.vis_p95_ms = static_cast<double>(snap.Quantile(0.95)) / 1000.0;
+    result.vis_p99_ms = static_cast<double>(snap.Quantile(0.99)) / 1000.0;
   }
   return result;
 }

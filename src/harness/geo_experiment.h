@@ -40,7 +40,7 @@ struct GeoRunResult {
   std::uint64_t reads = 0;
   std::uint64_t updates = 0;
   // Visibility percentiles (artificial delay, ms) for a chosen origin->dest
-  // pair; negative if no samples.
+  // pair, as histogram bucket upper bounds; negative if no samples.
   double vis_p50_ms = -1.0;
   double vis_p90_ms = -1.0;
   double vis_p95_ms = -1.0;

@@ -59,25 +59,21 @@ void SeqSystem::ScheduleReceiverCheck(DatacenterId dc) {
 void SeqSystem::ClientRead(ClientId client, DatacenterId dc, Key key,
                            std::function<void()> done) {
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   Partition& part = dcs_[dc].partitions[router_.Responsible(key)];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
   sim_->ScheduleAfter(hop, [this, &part, client, key, done = std::move(done),
-                            issued_at, dc, hop] {
+                            hop] {
     const std::uint64_t cost =
         config_.costs.read_us + config_.costs.eunomia_metadata_us;
-    part.server->Submit(cost, [this, &part, client, key, done, issued_at, dc,
-                               hop] {
+    part.server->Submit(cost, [this, &part, client, key, done, hop] {
       const GeoVersion* version = part.store.Get(key);
       VectorTimestamp vts = version != nullptr ? version->vts
                                                : VectorTimestamp(config_.num_dcs);
-      sim_->ScheduleAfter(hop, [this, client, vts = std::move(vts), done,
-                                issued_at, dc] {
+      sim_->ScheduleAfter(hop, [this, client, vts = std::move(vts), done] {
         auto [it, inserted] =
             sessions_.try_emplace(client, VectorTimestamp(config_.num_dcs));
         it->second.MergeMax(vts);
-        tracker_.OnOpComplete(dc, /*is_update=*/false, sim_->now(),
-                              sim_->now() - issued_at);
+        tracker_.OnOpComplete(/*is_update=*/false, sim_->now());
         done();
       });
     });
@@ -112,22 +108,20 @@ void SeqSystem::RequestSequenceNumber(DatacenterId dc, PartitionId p,
 void SeqSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
                              Value value, std::function<void()> done) {
   assert(dc < dcs_.size());
-  const std::uint64_t issued_at = sim_->now();
   const PartitionId p = router_.Responsible(key);
   Partition& part = dcs_[dc].partitions[p];
   const sim::SimTime hop = config_.network.intra_dc_one_way_us;
 
   sim_->ScheduleAfter(hop, [this, &part, client, key, value = std::move(value),
-                            done = std::move(done), issued_at, dc, p,
-                            hop]() mutable {
+                            done = std::move(done), dc, p, hop]() mutable {
     const std::uint64_t cost =
         config_.costs.update_us + config_.costs.eunomia_metadata_us;
     part.server->Submit(cost, [this, &part, client, key,
-                               value = std::move(value), done, issued_at, dc, p,
+                               value = std::move(value), done, dc, p,
                                hop]() mutable {
-      auto reply_client = [this, client, done, issued_at, dc, hop](
+      auto reply_client = [this, client, done, hop](
                               const VectorTimestamp* vts) {
-        sim_->ScheduleAfter(hop, [this, client, done, issued_at, dc,
+        sim_->ScheduleAfter(hop, [this, client, done,
                                   vts_copy = vts != nullptr
                                                  ? *vts
                                                  : VectorTimestamp()] {
@@ -137,8 +131,7 @@ void SeqSystem::ClientUpdate(ClientId client, DatacenterId dc, Key key,
               it->second = vts_copy;
             }
           }
-          tracker_.OnOpComplete(dc, /*is_update=*/true, sim_->now(),
-                                sim_->now() - issued_at);
+          tracker_.OnOpComplete(/*is_update=*/true, sim_->now());
           done();
         });
       };

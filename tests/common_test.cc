@@ -177,153 +177,6 @@ TEST(ZipfTest, ExponentOneSupported) {
   }
 }
 
-TEST(OnlineStatsTest, MeanAndVariance) {
-  OnlineStats stats;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    stats.Add(v);
-  }
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 4.571428, 1e-5);  // sample variance
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(OnlineStatsTest, MergeMatchesCombinedStream) {
-  Rng rng(8);
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.NextDouble() * 100.0;
-    all.Add(v);
-    (i % 2 == 0 ? left : right).Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-}
-
-TEST(OnlineStatsTest, EmptyIsZero) {
-  OnlineStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_EQ(stats.mean(), 0.0);
-  EXPECT_EQ(stats.variance(), 0.0);
-}
-
-TEST(OnlineStatsTest, MergeWithEmptyPreservesMinMax) {
-  // The multi-connection TCP driver merges per-connection stats; an idle
-  // connection contributes an empty instance, which must not drag min to 0
-  // or otherwise perturb the aggregate — in either merge direction.
-  OnlineStats populated;
-  populated.Add(5.0);
-  populated.Add(11.0);
-  OnlineStats empty;
-  populated.Merge(empty);
-  EXPECT_EQ(populated.count(), 2u);
-  EXPECT_DOUBLE_EQ(populated.min(), 5.0);
-  EXPECT_DOUBLE_EQ(populated.max(), 11.0);
-  EXPECT_DOUBLE_EQ(populated.mean(), 8.0);
-
-  OnlineStats target;
-  target.Merge(populated);
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_DOUBLE_EQ(target.min(), 5.0);
-  EXPECT_DOUBLE_EQ(target.max(), 11.0);
-  EXPECT_DOUBLE_EQ(target.mean(), 8.0);
-
-  OnlineStats both_empty;
-  both_empty.Merge(empty);
-  EXPECT_EQ(both_empty.count(), 0u);
-  EXPECT_EQ(both_empty.min(), 0.0);
-  EXPECT_EQ(both_empty.max(), 0.0);
-}
-
-TEST(LatencyHistogramTest, ExactForSmallValues) {
-  LatencyHistogram h;
-  for (std::uint64_t v = 0; v < 16; ++v) {
-    h.Record(v);
-  }
-  EXPECT_EQ(h.count(), 16u);
-  EXPECT_EQ(h.Percentile(100), 15u);
-  EXPECT_LE(h.Percentile(50), 8u);
-}
-
-TEST(LatencyHistogramTest, PercentileWithinRelativeError) {
-  LatencyHistogram h;
-  Rng rng(21);
-  std::vector<std::uint64_t> values;
-  for (int i = 0; i < 100000; ++i) {
-    const auto v = static_cast<std::uint64_t>(rng.NextExponential(20000.0));
-    values.push_back(v);
-    h.Record(v);
-  }
-  std::sort(values.begin(), values.end());
-  for (const double p : {50.0, 90.0, 99.0}) {
-    const auto exact =
-        values[static_cast<std::size_t>(p / 100.0 * (values.size() - 1))];
-    const auto approx = h.Percentile(p);
-    EXPECT_NEAR(static_cast<double>(approx), static_cast<double>(exact),
-                static_cast<double>(exact) * 0.05 + 2.0);
-  }
-}
-
-TEST(LatencyHistogramTest, MergeAddsCounts) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.Record(100);
-  b.Record(200);
-  b.Record(300);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.Max(), 300u);
-}
-
-TEST(LatencyHistogramTest, MergeWithEmptyIsIdentity) {
-  LatencyHistogram populated;
-  populated.Record(100);
-  populated.Record(900);
-  LatencyHistogram empty;
-  populated.Merge(empty);
-  EXPECT_EQ(populated.count(), 2u);
-  EXPECT_EQ(populated.Max(), 900u);
-  EXPECT_DOUBLE_EQ(populated.mean(), 500.0);
-
-  LatencyHistogram target;
-  target.Merge(populated);
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_EQ(target.Max(), 900u);
-  EXPECT_DOUBLE_EQ(target.mean(), 500.0);
-}
-
-TEST(CdfTest, QuantilesOfKnownDistribution) {
-  Cdf cdf;
-  for (int i = 1; i <= 100; ++i) {
-    cdf.Add(static_cast<double>(i));
-  }
-  EXPECT_NEAR(cdf.Quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(cdf.Quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(cdf.Quantile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(cdf.FractionBelow(50.0), 0.5, 0.01);
-  EXPECT_DOUBLE_EQ(cdf.FractionBelow(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.FractionBelow(1000.0), 1.0);
-}
-
-TEST(CdfTest, CurveIsMonotone) {
-  Cdf cdf;
-  Rng rng(31);
-  for (int i = 0; i < 1000; ++i) {
-    cdf.Add(rng.NextDouble() * 50.0);
-  }
-  const auto curve = cdf.Curve(21);
-  ASSERT_EQ(curve.size(), 21u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].first, curve[i - 1].first);
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-  }
-}
-
 TEST(TimeSeriesTest, RatesPerWindow) {
   TimeSeries ts(1'000'000);  // 1 s windows
   for (int i = 0; i < 500; ++i) {

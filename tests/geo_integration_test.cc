@@ -57,13 +57,13 @@ TEST_P(GeoSystemSmokeTest, OpsCompleteAndUpdatesBecomeVisible) {
   const auto& tracker = sut.system->tracker();
   EXPECT_GT(tracker.reads_completed(), 100u) << harness::SystemName(kind);
   EXPECT_GT(tracker.updates_completed(), 20u);
-  // Every update visible at both remote DCs: visibility CDF sample counts
-  // add up to updates * (num_dcs - 1).
+  // Every update visible at both remote DCs: visibility histogram sample
+  // counts add up to updates * (num_dcs - 1).
   std::uint64_t visible = 0;
   for (DatacenterId o = 0; o < 3; ++o) {
     for (DatacenterId d = 0; d < 3; ++d) {
-      if (const Cdf* cdf = tracker.Visibility(o, d); cdf != nullptr) {
-        visible += cdf->count();
+      if (const auto* hist = tracker.VisibilityHistogram(o, d)) {
+        visible += hist->count();
       }
     }
   }

@@ -118,6 +118,20 @@ struct GoldenRun {
   }
 };
 
+// Pins one (origin, dest) visibility histogram: its sample count, its exact
+// sum of artificial delays and its bucketed median.
+void ExpectVisibility(const geo::VisibilityTracker& tracker,
+                      DatacenterId origin, DatacenterId dest,
+                      std::uint64_t count, std::uint64_t sum,
+                      std::uint64_t p50) {
+  const metrics::Histogram* hist = tracker.VisibilityHistogram(origin, dest);
+  ASSERT_NE(hist, nullptr) << origin << "->" << dest;
+  const auto snap = hist->Snap();
+  EXPECT_EQ(snap.count, count) << origin << "->" << dest;
+  EXPECT_EQ(snap.sum, sum) << origin << "->" << dest;
+  EXPECT_EQ(snap.Quantile(0.5), p50) << origin << "->" << dest;
+}
+
 TEST(GeoRuntimeSimEquivalence, MatchesPreRefactorGoldenVectorMode) {
   GoldenRun run(/*scalar=*/false);
   const auto& tracker = run.system.tracker();
@@ -142,12 +156,8 @@ TEST(GeoRuntimeSimEquivalence, MatchesPreRefactorGoldenVectorMode) {
         << d;
     EXPECT_EQ(size, 500u) << d;
   }
-  ASSERT_NE(tracker.Visibility(0, 1), nullptr);
-  EXPECT_EQ(tracker.Visibility(0, 1)->count(), 1736u);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(0, 1)->Quantile(0.5), 3316.5);
-  ASSERT_NE(tracker.Visibility(1, 2), nullptr);
-  EXPECT_EQ(tracker.Visibility(1, 2)->count(), 1788u);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(1, 2)->Quantile(0.5), 3607.5);
+  ExpectVisibility(tracker, 0, 1, 1736u, 5763799u, 3327u);
+  ExpectVisibility(tracker, 1, 2, 1788u, 6440481u, 3647u);
 }
 
 TEST(GeoRuntimeSimEquivalence, MatchesPreRefactorGoldenScalarMode) {
@@ -170,9 +180,7 @@ TEST(GeoRuntimeSimEquivalence, MatchesPreRefactorGoldenScalarMode) {
   }
   // The scalar false-dependency floor: dc0 -> dc1 visibility is dominated
   // by the farthest leg (~40 ms), an order of magnitude above vector mode.
-  ASSERT_NE(tracker.Visibility(0, 1), nullptr);
-  EXPECT_EQ(tracker.Visibility(0, 1)->count(), 1723u);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(0, 1)->Quantile(0.5), 44467.0);
+  ExpectVisibility(tracker, 0, 1, 1723u, 77350218u, 45055u);
 }
 
 // ---------------------------------------------------------------------------

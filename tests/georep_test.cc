@@ -163,16 +163,19 @@ TEST(VisibilityTrackerTest, ArtificialDelayComputedFromArrival) {
   const std::uint64_t uid = tracker.OnInstalled(0, 1000);
   tracker.OnRemoteArrival(uid, 1, 41'000);
   tracker.OnRemoteVisible(uid, 1, 56'000);
-  const Cdf* vis = tracker.Visibility(0, 1);
+  const metrics::Histogram* vis = tracker.VisibilityHistogram(0, 1);
   ASSERT_NE(vis, nullptr);
   EXPECT_EQ(vis->count(), 1u);
-  EXPECT_DOUBLE_EQ(vis->Quantile(0.5), 15'000.0);  // 56ms - 41ms
+  const auto snap = vis->Snap();
+  EXPECT_EQ(snap.sum, 15'000u);  // 56ms - 41ms, exact
+  // The quantile is the bucket's upper bound: within 1/32 above the sample.
+  EXPECT_EQ(snap.Quantile(0.5), 15'103u);
 }
 
 TEST(VisibilityTrackerTest, ThroughputWindowing) {
   VisibilityTracker tracker(1'000'000);
   for (std::uint64_t t = 0; t < 5'000'000; t += 1000) {
-    tracker.OnOpComplete(0, false, t, 500);
+    tracker.OnOpComplete(/*is_update=*/false, t);
   }
   // 1000 ops per 1-second window.
   EXPECT_NEAR(tracker.Throughput(1'000'000, 4'000'000), 1000.0, 1.0);
@@ -187,11 +190,13 @@ TEST(VisibilityTrackerTest, PerPairSeparation) {
   tracker.OnRemoteVisible(u1, 1, 30);
   tracker.OnRemoteArrival(u2, 2, 10);
   tracker.OnRemoteVisible(u2, 2, 110);
-  ASSERT_NE(tracker.Visibility(0, 1), nullptr);
-  ASSERT_NE(tracker.Visibility(1, 2), nullptr);
-  EXPECT_EQ(tracker.Visibility(0, 2), nullptr);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(0, 1)->Quantile(1.0), 20.0);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(1, 2)->Quantile(1.0), 100.0);
+  ASSERT_NE(tracker.VisibilityHistogram(0, 1), nullptr);
+  ASSERT_NE(tracker.VisibilityHistogram(1, 2), nullptr);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 2), nullptr);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 1)->count(), 1u);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 1)->Snap().sum, 20u);
+  EXPECT_EQ(tracker.VisibilityHistogram(1, 2)->count(), 1u);
+  EXPECT_EQ(tracker.VisibilityHistogram(1, 2)->Snap().sum, 100u);
 }
 
 TEST(VisibilityTrackerTest, HighDatacenterIdsDoNotAliasAcrossUids) {
@@ -206,8 +211,9 @@ TEST(VisibilityTrackerTest, HighDatacenterIdsDoNotAliasAcrossUids) {
   // With the aliasing bug, u0's records landed on (u1, dc 0).
   EXPECT_EQ(tracker.VisibleAt(u0, 64), std::optional<std::uint64_t>(130));
   EXPECT_FALSE(tracker.VisibleAt(u1, 0).has_value());
-  ASSERT_NE(tracker.Visibility(0, 64), nullptr);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(0, 64)->Quantile(1.0), 30.0);
+  ASSERT_NE(tracker.VisibilityHistogram(0, 64), nullptr);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 64)->count(), 1u);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 64)->Snap().sum, 30u);
   EXPECT_EQ(tracker.PendingArrivals(), 0u);
 }
 
@@ -226,8 +232,9 @@ TEST(VisibilityTrackerTest, InstallRetentionDisabledForPerNodeTrackers) {
   tracker.OnRemoteArrival(42, 0, 250);
   tracker.OnRemoteVisible(42, 0, 300);
   EXPECT_EQ(tracker.TrackedInstalls(), 0u);
-  ASSERT_NE(tracker.Visibility(1, 0), nullptr);
-  EXPECT_DOUBLE_EQ(tracker.Visibility(1, 0)->Quantile(1.0), 50.0);
+  ASSERT_NE(tracker.VisibilityHistogram(1, 0), nullptr);
+  EXPECT_EQ(tracker.VisibilityHistogram(1, 0)->count(), 1u);
+  EXPECT_EQ(tracker.VisibilityHistogram(1, 0)->Snap().sum, 50u);
 }
 
 TEST(VisibilityTrackerTest, InstalledRecordsReclaimedOnceFullyVisible) {
@@ -244,10 +251,12 @@ TEST(VisibilityTrackerTest, InstalledRecordsReclaimedOnceFullyVisible) {
   tracker.OnRemoteVisible(uid, 2, 40);
   EXPECT_EQ(tracker.TrackedInstalls(), 0u);
   // Both visibility samples were still recorded before reclamation.
-  ASSERT_NE(tracker.Visibility(0, 1), nullptr);
-  ASSERT_NE(tracker.Visibility(0, 2), nullptr);
-  EXPECT_EQ(tracker.Visibility(0, 1)->count(), 1u);
-  EXPECT_EQ(tracker.Visibility(0, 2)->count(), 1u);
+  ASSERT_NE(tracker.VisibilityHistogram(0, 1), nullptr);
+  ASSERT_NE(tracker.VisibilityHistogram(0, 2), nullptr);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 1)->count(), 1u);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 1)->Snap().sum, 15u);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 2)->count(), 1u);
+  EXPECT_EQ(tracker.VisibilityHistogram(0, 2)->Snap().sum, 28u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 // tests/sync_negative_compile.cc (probe 4), built — and required to FAIL to
 // compile — by the clang job in CI.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -258,6 +260,30 @@ TEST(HistogramSnapshotTest, QuantilesMeanAndMax) {
   EXPECT_EQ(empty.Quantile(0.99), 0u);
   EXPECT_EQ(empty.Max(), 0u);
   EXPECT_DOUBLE_EQ(empty.Mean(), 0.0);
+}
+
+TEST(HistogramSnapshotTest, PercentileWithinRelativeError) {
+  // A latency-shaped stream: a quantile is the upper bound of the bucket
+  // holding the rank-th sample, so it never undershoots the exact sample and
+  // overshoots it by at most 1/32 of its value.
+  Histogram hist("test_exponential_us", "h");
+  std::mt19937_64 rng(21);
+  std::exponential_distribution<double> exponential(1.0 / 20'000.0);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 100'000; ++i) {
+    const auto v = static_cast<std::uint64_t>(exponential(rng));
+    values.push_back(v);
+    hist.Record(v);
+  }
+  std::sort(values.begin(), values.end());
+  const Histogram::Snapshot snap = hist.Snap();
+  for (const double q : {0.5, 0.9, 0.99}) {
+    const std::uint64_t exact =
+        values[static_cast<std::size_t>(std::ceil(q * values.size())) - 1];
+    const std::uint64_t approx = snap.Quantile(q);
+    EXPECT_GE(approx, exact) << q;
+    EXPECT_LE(approx - exact, exact / 32 + 1) << q;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -146,8 +146,10 @@ TEST(ScalarEunomiaKvTest, NearLegPaysFarthestLegDelay) {
     sim.RunUntil(workload.duration_us);
     driver.Stop();
     sim.RunUntil(workload.duration_us + 2 * sim::kSecond);
-    const Cdf* vis = system.tracker().Visibility(0, 1);  // 40 ms leg
-    return vis != nullptr && vis->count() > 0 ? vis->Quantile(0.5) : -1.0;
+    const metrics::Histogram* vis =
+        system.tracker().VisibilityHistogram(0, 1);  // 40 ms leg
+    return vis != nullptr ? static_cast<double>(vis->Snap().Quantile(0.5))
+                          : -1.0;
   };
   const double vector_ms = measure(false) / 1000.0;
   const double scalar_ms = measure(true) / 1000.0;

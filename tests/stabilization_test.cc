@@ -175,10 +175,10 @@ TEST(GentleRainTest, VisibilityRespectsFarthestDcFloor) {
   sim.RunUntil(6 * sim::kSecond);
   driver.Stop();
   sim.RunUntil(9 * sim::kSecond);
-  const Cdf* vis = system.tracker().Visibility(0, 1);
+  const metrics::Histogram* vis = system.tracker().VisibilityHistogram(0, 1);
   ASSERT_NE(vis, nullptr);
   ASSERT_GT(vis->count(), 50u);
-  EXPECT_GT(vis->Quantile(0.05), 30'000.0)
+  EXPECT_GT(vis->Snap().Quantile(0.05), 30'000u)
       << "GentleRain's scalar should impose a ~40 ms floor on the 40 ms leg";
 }
 
@@ -192,8 +192,9 @@ TEST(CureTest, VisibilityBeatsGentleRainOnNearLeg) {
     sim.RunUntil(6 * sim::kSecond);
     driver.Stop();
     sim.RunUntil(9 * sim::kSecond);
-    const Cdf* vis = system->tracker().Visibility(0, 1);
-    return vis != nullptr && vis->count() > 0 ? vis->Quantile(0.90) : -1.0;
+    const metrics::Histogram* vis = system->tracker().VisibilityHistogram(0, 1);
+    return vis != nullptr ? static_cast<double>(vis->Snap().Quantile(0.90))
+                          : -1.0;
   };
   const double gentlerain = run([&](sim::Simulator* s) {
     return std::make_unique<geo::GentleRainSystem>(s, config);
