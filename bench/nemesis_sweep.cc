@@ -16,7 +16,7 @@
 //
 // Part 2 (real TCP, skip with --no-tcp): the highest-value scenario on the
 // real GeoNode binding — peer death with total state loss, background
-// reconnect with capped backoff, history-replay catch-up — while an
+// reconnect with capped backoff, WAL catch-up — while an
 // availability probe at the surviving datacenter measures unavailability
 // windows (completion gaps), emitted fig4-style into BENCH_nemesis.json.
 #include <algorithm>
@@ -38,6 +38,7 @@
 #include "src/metrics/metrics_server.h"
 #include "src/metrics/registry.h"
 #include "src/net/epoll_transport.h"
+#include "src/wal/disk.h"
 
 namespace eunomia {
 namespace {
@@ -179,6 +180,8 @@ struct TcpScenarioResult {
   bool ok = false;
   double ops_per_s = 0.0;
   std::uint64_t reconnects = 0;
+  std::uint64_t replayed_frames = 0;  // dc0's catch-up volume
+  double max_gap_ms = 0.0;  // largest probe completion gap, any size
   bool converged = false;
   double converge_ms = -1.0;
   std::vector<UnavailabilityWindow> windows;
@@ -227,20 +230,22 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
 
   // Writers live at dc0 only: dc1 is the datacenter that dies and returns
   // with nothing, so all state it must recover flows one way and the
-  // catch-up is exactly dc0's retained history.
+  // catch-up is exactly dc0's install WAL (dc1 never acks, so all of it).
+  wal::MemDisk disk0;
   GeoNode::Options options0;
   options0.dc = 0;
   options0.config = config;
-  options0.retain_peer_history = true;
+  options0.durability_disk = &disk0;
   options0.reconnect_backoff_ms = 25;
   options0.reconnect_backoff_max_ms = 200;
   // Both nodes instrumented: the post-scenario scrape (written to
   // nemesis_tcp_scrape.prom, archived by the nightly job) must show the
-  // peer death in the counters — reconnects and history replay at dc0.
+  // peer death in the counters — reconnects and WAL replay at dc0.
   options0.metrics = &metrics::Registry::Default();
   options0.metrics_interval_us = 50'000;
   GeoNode::Options options1 = options0;
   options1.dc = 1;
+  options1.durability_disk = nullptr;
 
   const auto kill_after = std::chrono::milliseconds(smoke ? 400 : 800);
   const auto dead_for = std::chrono::milliseconds(smoke ? 500 : 1000);
@@ -345,7 +350,7 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
 
   std::this_thread::sleep_for(dead_for);
   // Reboot dc1 on the same address (fresh transport, fresh empty runtime).
-  // dc0's background re-dial loop finds it and replays its full history.
+  // dc0's background re-dial loop finds it and replays its install WAL.
   transport1 = std::make_unique<net::EpollTransport>();
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   if (node1->Listen(addr1).empty()) {
@@ -394,6 +399,7 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
     double prev = 0.0;
     for (const double t : probe_times_s) {
       const double gap_ms = (t - prev) * 1000.0;
+      result.max_gap_ms = std::max(result.max_gap_ms, gap_ms);
       if (gap_ms > kGapThresholdMs) {
         result.windows.push_back({prev, gap_ms});
       }
@@ -403,23 +409,24 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
 
   // Scrape the still-live nodes before teardown: the nightly job archives
   // this exposition, which shows the peer death in counter form (dc0's
-  // reconnect + history replay, dc1's reinstalled updates).
+  // reconnect + WAL replay, dc1's reinstalled updates).
   {
     metrics::MetricsServer metrics_server;
     const std::string metrics_address = metrics_server.Start("127.0.0.1:0");
     std::string scrape;
     if (!metrics_address.empty() &&
         metrics::HttpGet(metrics_address, "/metrics", &scrape)) {
+      result.replayed_frames = static_cast<std::uint64_t>(
+          metrics::SeriesSum(scrape, "eunomia_georep_replayed_frames_total"));
       if (std::FILE* f = std::fopen("nemesis_tcp_scrape.prom", "w")) {
         std::fwrite(scrape.data(), 1, scrape.size(), f);
         std::fclose(f);
         std::printf(
             "wrote nemesis_tcp_scrape.prom (%zu bytes; georep "
-            "reconnects=%.0f, replayed frames=%.0f)\n",
+            "reconnects=%.0f, replayed frames=%llu)\n",
             scrape.size(),
             metrics::SeriesSum(scrape, "eunomia_georep_reconnects_total"),
-            metrics::SeriesSum(scrape,
-                               "eunomia_georep_replayed_frames_total"));
+            static_cast<unsigned long long>(result.replayed_frames));
       }
     }
   }
@@ -485,20 +492,18 @@ void WriteBenchJson(const char* path, bool smoke, const SweepResult& sweep,
                static_cast<unsigned long long>(sweep.snapshots_taken),
                tcp.ran ? "," : "");
   if (tcp.ran) {
-    double max_gap_ms = 0.0;
-    for (const UnavailabilityWindow& w : tcp.windows) {
-      max_gap_ms = std::max(max_gap_ms, w.gap_ms);
-    }
     std::fprintf(f,
                  "    {\"system\": \"EunomiaKV\", \"workload\": "
                  "\"peer-death-reconnect\", \"transport\": \"tcp\", "
                  "\"ops_per_s\": %.1f, \"reconnects\": %llu, \"converged\": "
                  "%d, \"converge_ms\": %.0f, \"unavail_windows\": %zu, "
-                 "\"max_gap_ms\": %.1f}%s\n",
+                 "\"max_gap_ms\": %.1f, \"replayed_frames\": %llu}%s\n",
                  tcp.ops_per_s,
                  static_cast<unsigned long long>(tcp.reconnects),
                  tcp.converged ? 1 : 0, tcp.converge_ms, tcp.windows.size(),
-                 max_gap_ms, tcp.windows.empty() ? "" : ",");
+                 tcp.max_gap_ms,
+                 static_cast<unsigned long long>(tcp.replayed_frames),
+                 tcp.windows.empty() ? "" : ",");
     for (std::size_t i = 0; i < tcp.windows.size(); ++i) {
       std::fprintf(f,
                    "    {\"system\": \"EunomiaKV\", \"workload\": "

@@ -21,9 +21,9 @@
 //                    install and inbound metadata/payload before processing,
 //                    snapshots periodically, and recovers from the directory
 //                    on startup — a kill -9'd datacenter rejoins from its
-//                    own WAL with incremental catch-up from peers. Also
-//                    enables peer-history retention (replay to restarting
-//                    peers), truncated by their durable acks.
+//                    own WAL with incremental catch-up from peers. The
+//                    install WAL is also what this node replays to peers
+//                    whose links come up; without it, it replays nothing.
 //   --fsync=POLICY   commit | interval | off  (default commit; needs
 //                    --data-dir)
 //   --metrics-port=N serve GET /metrics (Prometheus text exposition) and
@@ -337,9 +337,6 @@ int main(int argc, char** argv) {
                    flags.Get("fsync", "commit").c_str());
       return 2;
     }
-    // Keep what we send until peers durably ack it — a restarting peer gets
-    // the gap replayed on reconnect.
-    node_options.retain_peer_history = true;
   } else if (flags.Has("fsync")) {
     std::fprintf(stderr, "--fsync requires --data-dir\n");
     return 2;

@@ -129,9 +129,7 @@ ServiceWal::Recovered ServiceWal::Recover() {
     logs_[p] = std::make_unique<wal::LogWriter>(options_.disk, LogName(p),
                                                 options_.fsync);
   }
-  if (options_.threaded) {
-    snap_thread_ = std::thread([this] { SnapshotLoop(); });
-  }
+  snap_thread_ = std::thread([this] { SnapshotLoop(); });
   return out;
 }
 
@@ -179,15 +177,10 @@ void ServiceWal::NoteStable(OpOrderKey frontier) {
     // faster than the maintenance thread compacts does not pile up
     // requests for the same span of log.
     bytes_at_last_snapshot_ = total_bytes;
-    if (snap_thread_.joinable()) {
-      snap_mark_ = frontier;
-      snap_requested_ = true;
-      snap_cv_.NotifyOne();
-      return;
-    }
+    snap_mark_ = frontier;
+    snap_requested_ = true;
   }
-  // Inline/deterministic mode: compact right here on the merge thread.
-  WriteSnapshotAndCompact(frontier);
+  snap_cv_.NotifyOne();
 }
 
 void ServiceWal::SnapshotLoop() {

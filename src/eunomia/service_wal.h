@@ -57,10 +57,6 @@ struct ServiceDurability {
   // Rewrite the snapshot + compact the logs once this many bytes of
   // records have been appended since the last snapshot.
   std::uint64_t snapshot_interval_bytes = 1u << 20;
-  // Run a background maintenance thread for snapshot/compaction work and
-  // the kInterval time-bounded sync (every wal::kFsyncIntervalUs). Appends
-  // are always inline. Off = fully synchronous for deterministic tests.
-  bool threaded = true;
 };
 
 class ServiceWal {
@@ -100,10 +96,9 @@ class ServiceWal {
   void LogHeartbeat(PartitionId partition, Timestamp ts);
 
   // Called from the merge thread with the order key of the last op of each
-  // emitted stable batch. Rewrites the snapshot and compacts logs when
-  // enough bytes have accumulated — on a background maintenance thread in
-  // threaded mode (compacting a large log inline would stall stabilization
-  // itself), synchronously in inline/deterministic mode.
+  // emitted stable batch. Once enough bytes have accumulated, asks the
+  // maintenance thread to rewrite the snapshot and compact the logs
+  // (compacting a large log inline would stall stabilization itself).
   void NoteStable(OpOrderKey frontier);
 
   // Drains and syncs every log (clean shutdown; kill -9 tests skip it).
@@ -137,7 +132,9 @@ class ServiceWal {
   OpOrderKey snap_mark_ GUARDED_BY(snap_mu_){0, 0};  // requested mark
   bool snap_requested_ GUARDED_BY(snap_mu_) = false;
   bool snap_stop_ GUARDED_BY(snap_mu_) = false;
-  std::thread snap_thread_;  // threaded mode only; joined in the destructor
+  // Snapshots/compaction and the kInterval time-bounded sync (every
+  // wal::kFsyncIntervalUs). Started by Recover, joined in the destructor.
+  std::thread snap_thread_;
 
   std::atomic<std::uint64_t> snapshots_taken_{0};
   std::atomic<std::uint64_t> append_failures_{0};

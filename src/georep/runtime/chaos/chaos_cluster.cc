@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 namespace eunomia::geo::rt::chaos {
 
@@ -109,17 +111,28 @@ void ChaosCluster::Restart(DatacenterId dc) {
   durability_[dc] = MakeDurability(dc);
   runtimes_[dc] = MakeRuntime(dc);
   env_.AttachDatacenter(dc, runtimes_[dc].get());
-  const GeoDurability::Recovered recovered =
-      durability_[dc]->Recover(runtimes_[dc].get(), /*sessions=*/nullptr);
+  durability_[dc]->Recover(runtimes_[dc].get(), /*sessions=*/nullptr);
   // Incremental catch-up: peer traffic above the recovered applied
   // frontier (the disk already replayed everything that had arrived).
   env_.CatchUpDatacenter(dc, runtimes_[dc].get());
-  // Re-fan-out every retained install: the pre-crash fan-out may not have
-  // reached every peer, and peers dedup whatever it did.
-  for (const auto& [partition, payload] : recovered.retained_installs) {
-    for (DatacenterId k = 0; k < options_.config.num_dcs; ++k) {
-      if (k != dc) {
-        env_.SendPayload(dc, k, partition, payload);
+  // Re-fan-out every logged install, partition-major in log order: the
+  // pre-crash fan-out may not have reached every peer; peers dedup.
+  std::vector<std::vector<RemotePayload>> installs(
+      options_.config.partitions_per_dc);
+  InstallCursor cursor = durability_[dc]->ReadInstalls(/*mark=*/0);
+  PartitionId partition = 0;
+  RemotePayload payload;
+  while (!cursor.done()) {
+    if (cursor.Next(&partition, &payload)) {
+      installs[partition].push_back(std::move(payload));
+    }
+  }
+  for (PartitionId p = 0; p < installs.size(); ++p) {
+    for (const RemotePayload& install : installs[p]) {
+      for (DatacenterId k = 0; k < options_.config.num_dcs; ++k) {
+        if (k != dc) {
+          env_.SendPayload(dc, k, p, install);
+        }
       }
     }
   }

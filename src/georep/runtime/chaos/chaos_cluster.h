@@ -19,8 +19,8 @@
 //     its unsynced suffix, possibly torn or bit-flipped). Restart recovers
 //     from the disk, then the environment provides only the *incremental*
 //     catch-up — peer traffic above the recovered applied frontier — plus
-//     the re-fan-out of retained install payloads, exactly the catch-up a
-//     real peer link replay would provide.
+//     the re-fan-out of the payloads in its install WAL, the same records a
+//     real node's WAL catch-up replays.
 #pragma once
 
 #include <cstdint>

@@ -108,8 +108,8 @@ class FaultyGeoEnvironment : public SimGeoEnvironment {
   // runtime's recovered applied frontier (its receiver SiteTime) — inbound
   // payloads first, then ordered metadata, per origin in channel FIFO
   // order. This models sender-side retransmission from the last
-  // acknowledged point, which is exactly what the TCP transport's
-  // reconnect replay provides; full-history replay would work too (the
+  // acknowledged point, which is exactly what GeoNode's WAL catch-up
+  // provides on reconnect; full-history replay would work too (the
   // receiver dedups) but would defeat the purpose of recovering from disk.
   void CatchUpDatacenter(DatacenterId dc, DatacenterRuntime* runtime);
   // Degrades (extra_us > 0) or heals (extra_us = 0) every WAN channel from

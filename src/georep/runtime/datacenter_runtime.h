@@ -102,8 +102,8 @@ class DatacenterRuntime {
   // the op for Eunomia stabilization + remote shipping (remote receivers
   // dedup any suffix they already applied). Must be called in timestamp
   // order per partition, before StartTimers, and does NOT re-fan-out the
-  // payload — the restarting harness replays inbound/outbound channels
-  // itself.
+  // payload — the caller re-ships it from the install WAL
+  // (GeoDurability::ReadInstalls).
   void RestoreLocalUpdate(PartitionId partition, const RemotePayload& update);
   // Restores one store version from a durability snapshot: the raw Put plus
   // a hybrid-clock observation of the version's local component, with no

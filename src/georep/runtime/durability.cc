@@ -1,5 +1,6 @@
 #include "src/georep/runtime/durability.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string_view>
 #include <utility>
@@ -59,6 +60,17 @@ bool DecodePayloadRecord(std::string_view bytes, std::uint32_t num_dcs,
     return false;
   }
   return reader.done();
+}
+
+// The install-log record filter Recover and InstallCursor share: a
+// well-formed kInstallRecord of partition `p` that `dc` originated.
+bool DecodeInstallRecord(std::uint8_t type, std::string_view bytes,
+                         DatacenterId dc, std::uint32_t num_dcs, PartitionId p,
+                         RemotePayload* payload) {
+  PartitionId logged_partition = 0;
+  return type == GeoDurability::kInstallRecord &&
+         DecodePayloadRecord(bytes, num_dcs, &logged_partition, payload) &&
+         logged_partition == p && payload->origin == dc;
 }
 
 std::string EncodeMetaRecord(const std::vector<RemoteUpdate>& batch) {
@@ -239,18 +251,14 @@ void GeoDurability::OnInboundPayload(PartitionId partition,
          EncodePayloadRecord(partition, payload));
 }
 
-GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
-                                                SessionMap* sessions) {
-  Recovered out;
+void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
   recovering_ = true;
 
   // --- snapshot --------------------------------------------------------------
   std::string snap_bytes;
   if (options_.disk->ReadAll(kSnapName, &snap_bytes)) {
     std::vector<wal::Record> records;
-    if (wal::ReadLog(snap_bytes, &records) == wal::LogState::kTornTail) {
-      out.any_torn_tail = true;
-    }
+    wal::ReadLog(snap_bytes, &records);
     // Take the newest valid snapshot record (WriteAtomic keeps exactly one,
     // but a corrupt file degrades to "no snapshot", never to garbage).
     for (auto it = records.rbegin(); it != records.rend(); ++it) {
@@ -264,7 +272,6 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
           local_ts_mark_[p] = snap.clock_marks[p];
           for (const auto& [key, version] : snap.stores[p]) {
             runtime->RestoreStoreVersion(p, key, version);
-            ++out.store_versions;
           }
         }
         if (sessions != nullptr) {
@@ -272,7 +279,6 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
             (*sessions)[client] = vts;
           }
         }
-        out.had_snapshot = true;
         break;
       }
     }
@@ -281,26 +287,18 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
   // --- install logs (replay re-enqueues for stabilization + shipping) --------
   for (PartitionId p = 0; p < options_.partitions; ++p) {
     std::vector<wal::Record> records;
-    if (wal::RecoverLog(options_.disk, InstallLogName(p), &records) ==
-        wal::LogState::kTornTail) {
-      out.any_torn_tail = true;
-    }
+    wal::RecoverLog(options_.disk, InstallLogName(p), &records);
     for (const wal::Record& record : records) {
-      PartitionId logged_partition = 0;
       RemotePayload payload;
-      if (record.type != kInstallRecord ||
-          !DecodePayloadRecord(record.payload, options_.num_dcs,
-                               &logged_partition, &payload) ||
-          logged_partition != p || payload.origin != options_.dc) {
-        continue;  // unknown/foreign record: skip, never propagate
+      if (!DecodeInstallRecord(record.type, record.payload, options_.dc,
+                               options_.num_dcs, p, &payload)) {
+        continue;
       }
       const Timestamp ts = payload.vts[options_.dc];
       if (ts > local_ts_mark_[p]) {
         local_ts_mark_[p] = ts;
       }
       runtime->RestoreLocalUpdate(p, payload);
-      out.retained_installs.emplace_back(p, payload);
-      ++out.installs_replayed;
     }
     install_logs_[p] = std::make_unique<wal::LogWriter>(
         options_.disk, InstallLogName(p), options_.fsync);
@@ -309,16 +307,12 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
   // --- inbound log (arrival order preserves the per-origin FIFO) -------------
   {
     std::vector<wal::Record> records;
-    if (wal::RecoverLog(options_.disk, kInboundLogName, &records) ==
-        wal::LogState::kTornTail) {
-      out.any_torn_tail = true;
-    }
+    wal::RecoverLog(options_.disk, kInboundLogName, &records);
     for (const wal::Record& record : records) {
       if (record.type == kInboundMetaRecord) {
         std::vector<RemoteUpdate> batch;
         if (DecodeMetaRecord(record.payload, options_.num_dcs, &batch)) {
           runtime->OnRemoteMetadata(batch);
-          out.inbound_meta_replayed += batch.size();
         }
       } else if (record.type == kInboundPayloadRecord) {
         PartitionId partition = 0;
@@ -327,7 +321,6 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
                                 &payload) &&
             partition < options_.partitions) {
           runtime->OnPayload(partition, std::move(payload));
-          ++out.inbound_payloads_replayed;
         }
       }
     }
@@ -337,7 +330,82 @@ GeoDurability::Recovered GeoDurability::Recover(DatacenterRuntime* runtime,
 
   recovering_ = false;
   bytes_at_last_snapshot_ = 0;
-  return out;
+}
+
+InstallCursor GeoDurability::ReadInstalls(Timestamp mark) const {
+  return InstallCursor(options_.disk, options_.dc, options_.num_dcs, mark,
+                       local_ts_mark_);
+}
+
+InstallCursor::InstallCursor(wal::Disk* disk, DatacenterId dc,
+                             std::uint32_t num_dcs, Timestamp mark,
+                             std::vector<Timestamp> last)
+    : disk_(disk),
+      dc_(dc),
+      num_dcs_(num_dcs),
+      mark_(mark),
+      last_(std::move(last)),
+      logs_(last_.size()) {}
+
+bool InstallCursor::Next(PartitionId* partition, RemotePayload* payload) {
+  // Each log is in timestamp order: a P-way merge of the heads yields the
+  // global order, but only once every unfinished log has a head.
+  Log* best = nullptr;
+  for (PartitionId p = 0; p < logs_.size(); ++p) {
+    Log& log = logs_[p];
+    if (log.ready.empty() && !log.done && !ReadChunk(p)) {
+      return false;
+    }
+    if (!log.ready.empty() &&
+        (best == nullptr ||
+         log.ready.front().vts[dc_] < best->ready.front().vts[dc_])) {
+      best = &log;
+    }
+  }
+  if (best == nullptr) {
+    return false;
+  }
+  *partition = static_cast<PartitionId>(best - logs_.data());
+  *payload = std::move(best->ready.front());
+  best->ready.pop_front();
+  return true;
+}
+
+bool InstallCursor::done() const {
+  return std::all_of(logs_.begin(), logs_.end(), [](const Log& log) {
+    return log.done && log.ready.empty();
+  });
+}
+
+bool InstallCursor::ReadChunk(PartitionId partition) {
+  Log& log = logs_[partition];
+  std::string chunk;
+  if (!disk_->ReadAt(GeoDurability::InstallLogName(partition), log.read_to,
+                     kReadChunkBytes, &chunk) ||
+      chunk.empty()) {
+    log.done = true;  // the end (a torn tail left in `partial` included)
+    return true;
+  }
+  log.read_to += chunk.size();
+  log.partial += chunk;
+  std::size_t parsed = 0;
+  wal::ScanLog(
+      log.partial,
+      [&](const wal::RecordView& record) {
+        RemotePayload payload;
+        if (log.done || !DecodeInstallRecord(record.type, record.payload, dc_,
+                                             num_dcs_, partition, &payload)) {
+          return;
+        }
+        const Timestamp ts = payload.vts[dc_];
+        log.done = ts > last_[partition];  // appended after the cursor opened
+        if (!log.done && ts > mark_) {
+          log.ready.push_back(std::move(payload));
+        }
+      },
+      &parsed);
+  log.partial.erase(0, parsed);
+  return log.done || !log.ready.empty();
 }
 
 bool GeoDurability::SnapshotDue() const {

@@ -28,9 +28,8 @@
 // the runtime's payload duplicate check shed everything already covered.
 // The hooks are suppressed while recovering, so replay never re-logs.
 //
-// After Recover the caller MUST re-fan-out every retained install payload
-// to every peer (Recovered::retained_installs): the pre-crash fan-out may
-// not have reached them, and peers dedup whatever it did. Metadata re-ships
+// The install logs are also the only source of peer catch-up (ReadInstalls),
+// the pre-crash fan-out included. Metadata of recovered installs re-ships
 // itself through re-stabilization.
 //
 // Truncation: Snapshot() rewrites the inbound log keeping only entries not
@@ -38,7 +37,8 @@
 // only entries above `install_truncate_mark` — the caller passes
 // min(local stable frontier, every peer's applied-from-us frontier), or 0
 // to keep everything when peer progress is unknown. Truncated installs stay
-// recoverable through the snapshot store plus the clock marks.
+// recoverable through the snapshot store plus the clock marks, and no peer
+// needs them for catch-up: truncation is what bounds catch-up storage.
 //
 // Torn tails: each log is repaired by wal::RecoverLog before use — a
 // partial or bit-flipped final record (detected by the CRC/length framing)
@@ -51,9 +51,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -74,24 +74,50 @@ struct GeoDurabilityOptions {
   std::uint64_t snapshot_interval_bytes = 1u << 20;
 };
 
+// Forward cursor over the install logs (GeoDurability::ReadInstalls): yields
+// every install logged before it opened with own timestamp above the mark,
+// merged across partitions in (timestamp, partition) order — the order
+// Eunomia stabilizes them in. It reads each log by byte offset, at most one
+// chunk per partition per Next(), so no call costs more however long the
+// log; the logs must not be compacted while it is in use.
+class InstallCursor {
+ public:
+  static constexpr std::size_t kReadChunkBytes = 64u << 10;
+
+  // `last[p]`: the newest own timestamp partition p had logged at open.
+  InstallCursor(wal::Disk* disk, DatacenterId dc, std::uint32_t num_dcs,
+                Timestamp mark, std::vector<Timestamp> last);
+
+  // False when nothing is ready yet (call again) or the cursor is done().
+  bool Next(PartitionId* partition, RemotePayload* payload);
+  bool done() const;
+
+ private:
+  struct Log {
+    std::uint64_t read_to = 0;  // file offset read so far
+    bool done = false;          // nothing more to read
+    std::string partial;        // a record split across chunks
+    std::deque<RemotePayload> ready;  // decoded, in log order
+  };
+
+  // Reads and decodes the log's next chunk. False while it still has no
+  // head and is not done.
+  bool ReadChunk(PartitionId partition);
+
+  wal::Disk* const disk_;
+  const DatacenterId dc_;
+  const std::uint32_t num_dcs_;
+  const Timestamp mark_;
+  const std::vector<Timestamp> last_;  // per partition, at open
+  std::vector<Log> logs_;              // per partition
+};
+
 class GeoDurability final : public DurabilityHooks {
  public:
   static constexpr std::uint8_t kInstallRecord = 1;
   static constexpr std::uint8_t kInboundMetaRecord = 2;
   static constexpr std::uint8_t kInboundPayloadRecord = 3;
   static constexpr std::uint8_t kGeoSnapshotRecord = 4;
-
-  struct Recovered {
-    bool had_snapshot = false;
-    bool any_torn_tail = false;  // at least one log lost a torn/corrupt tail
-    std::uint64_t store_versions = 0;
-    std::uint64_t installs_replayed = 0;
-    std::uint64_t inbound_meta_replayed = 0;
-    std::uint64_t inbound_payloads_replayed = 0;
-    // Install-log survivors in replay order; see the re-fan-out contract in
-    // the file comment.
-    std::vector<std::pair<PartitionId, RemotePayload>> retained_installs;
-  };
 
   explicit GeoDurability(GeoDurabilityOptions options);
   ~GeoDurability() override;
@@ -104,7 +130,7 @@ class GeoDurability final : public DurabilityHooks {
   // as its hooks, before StartTimers. `sessions` may be null when session
   // state lives outside the crashed process (the sim harness's client-side
   // vclocks).
-  Recovered Recover(DatacenterRuntime* runtime, SessionMap* sessions);
+  void Recover(DatacenterRuntime* runtime, SessionMap* sessions);
 
   // DurabilityHooks (no-ops while Recover is replaying).
   void OnLocalInstall(PartitionId partition,
@@ -112,6 +138,12 @@ class GeoDurability final : public DurabilityHooks {
   void OnInboundMetadata(const std::vector<RemoteUpdate>& batch) override;
   void OnInboundPayload(PartitionId partition,
                         const RemotePayload& payload) override;
+
+  // A cursor over the logged installs with own timestamp above `mark`, as
+  // the install logs stand now. Call after Recover.
+  InstallCursor ReadInstalls(Timestamp mark) const;
+  // The install log file of partition p (relative to the disk root).
+  static std::string InstallLogName(PartitionId p);
 
   bool SnapshotDue() const;
   // Snapshots `runtime` (+ `sessions` if non-null) and truncates the logs;
@@ -128,8 +160,6 @@ class GeoDurability final : public DurabilityHooks {
   std::uint64_t append_failures() const { return append_failures_; }
 
  private:
-  static std::string InstallLogName(PartitionId p);
-
   void Append(wal::LogWriter* writer, std::uint8_t type,
               const std::string& payload);
 

@@ -15,6 +15,17 @@ namespace eunomia::geo::rt {
 namespace gw = ::eunomia::geo::rt::wire;
 namespace nw = ::eunomia::net::wire;
 
+namespace {
+
+// How often a durable node checks whether a snapshot is due (1 MiB logged).
+constexpr std::uint64_t kSnapshotCheckIntervalUs = 250'000;
+// Installs one catch-up chunk replays: at most this many payload frames
+// plus one metadata frame per loop turn, so a queued client op waits for
+// one chunk, never for the whole replay.
+constexpr std::size_t kCatchUpInstallsPerTurn = 64;
+
+}  // namespace
+
 GeoNode::GeoNode(net::Transport* transport, Options options)
     : transport_(transport),
       options_(std::move(options)),
@@ -53,15 +64,16 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
         "Updates installed locally (origin-side client writes)", dc_label);
     telemetry_->payload_duplicates = reg.AddCounter(
         "eunomia_georep_payload_duplicates_total",
-        "Inbound payloads dropped by uid/timestamp dedup (reconnect replays "
-        "and recovery re-fan-outs land here)",
+        "Inbound payloads dropped by uid/timestamp dedup (catch-up replays "
+        "land here)",
         dc_label);
     telemetry_->reconnects = reg.AddCounter(
         "eunomia_georep_reconnects_total",
         "Peer links re-established after a mid-run drop", dc_label);
     telemetry_->replayed_frames = reg.AddCounter(
         "eunomia_georep_replayed_frames_total",
-        "Retained frames re-shipped to a reconnected peer", dc_label);
+        "Frames sent by WAL catch-up to a peer whose links came up",
+        dc_label);
     telemetry_->wire_errors = reg.AddCounter(
         "eunomia_georep_wire_errors_total",
         "Inbound frames rejected as protocol violations", dc_label);
@@ -77,7 +89,6 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
     dopts.num_dcs = options_.config.num_dcs;
     dopts.partitions = options_.config.partitions_per_dc;
     dopts.fsync = options_.fsync;
-    dopts.snapshot_interval_bytes = options_.snapshot_interval_bytes;
     durability_ = std::make_unique<GeoDurability>(std::move(dopts));
   }
   // Real nodes read one shared monotonic clock through Environment::Now();
@@ -91,9 +102,7 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
     // Recovery runs pre-Start with nothing else touching the runtime; the
     // environment calls it triggers (SendApply hops, metadata batches)
     // queue on the not-yet-started loop and drain once Start runs them.
-    GeoDurability::Recovered recovered =
-        durability_->Recover(runtime_.get(), &sessions_);
-    recovered_installs_ = std::move(recovered.retained_installs);
+    durability_->Recover(runtime_.get(), &sessions_);
   }
 }
 
@@ -198,6 +207,9 @@ void GeoNode::MarkLinkDown(DatacenterId peer) {
   }
   entry.metadata.reset();
   entry.payloads.reset();
+  // Whatever the replay had not sent is still in the WAL; the next link-up
+  // starts over from the peer's acked frontier.
+  entry.catch_up.reset();
   entry.backoff_ms = std::max<std::uint32_t>(1, options_.reconnect_backoff_ms);
   loop_.ScheduleAfter(static_cast<std::uint64_t>(entry.backoff_ms) * 1000,
                       [this, peer] { TryReconnect(peer); });
@@ -223,43 +235,70 @@ void GeoNode::TryReconnect(DatacenterId peer) {
   }
   entry.down = false;
   reconnects_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.retain_peer_history) {
-    // Catch-up: replay retained frames in order, skipping what the peer
-    // durably acked (its hello on the reverse link may have raised
-    // peer_applied_ past frames retained before the drop). Whatever the
-    // peer kept beyond its acks arrives as duplicates and its
-    // uid/timestamp dedup absorbs them.
-    const Timestamp applied = peer_applied_[peer];
-    std::uint64_t replayed = 0;
-    for (const Peer::Sent& sent : entry.history) {
-      if (sent.ts != 0 && sent.ts <= applied) {
-        continue;
-      }
-      SendOnLink(sent.type == nw::MsgType::kGeoPayload ? entry.payloads
-                                                       : entry.metadata,
-                 sent.type, sent.frame);
-      ++replayed;
-    }
-    if (telemetry_ != nullptr && replayed > 0) {
-      telemetry_->replayed_frames->Add(replayed);
-    }
-  }
+  StartCatchUp(peer);
 }
 
-void GeoNode::NotePeerApplied(DatacenterId peer, Timestamp applied) {
-  if (applied <= peer_applied_[peer]) {
+void GeoNode::StartCatchUp(DatacenterId peer) {
+  if (durability_ == nullptr) {
     return;
   }
-  peer_applied_[peer] = applied;
-  if (options_.retain_peer_history) {
-    // Truncation is what keeps the history bounded against durable peers:
-    // a frame the peer holds on stable storage never needs replaying.
-    std::vector<Peer::Sent>& history = peers_[peer].history;
-    history.erase(std::remove_if(history.begin(), history.end(),
-                                 [applied](const Peer::Sent& sent) {
-                                   return sent.ts != 0 && sent.ts <= applied;
-                                 }),
-                  history.end());
+  Peer& entry = peers_[peer];
+  entry.catch_up = std::make_unique<CatchUp>(
+      CatchUp{durability_->ReadInstalls(peer_applied_[peer]),
+              runtime_->eunomia().StableTime(), {}});
+  CatchUpStep(peer, ++entry.catch_up_epoch);
+}
+
+void GeoNode::CatchUpStep(DatacenterId peer, std::uint64_t epoch) {
+  Peer& entry = peers_[peer];
+  if (entry.catch_up == nullptr || entry.catch_up_epoch != epoch) {
+    return;  // the links dropped since this chunk was posted
+  }
+  // A failed send marks the links down, which destroys the catch-up: every
+  // failure path returns without touching it again.
+  CatchUp& catch_up = *entry.catch_up;
+  const auto send = [&](nw::MsgType type, std::string frame) {
+    if (!SendToPeer(peer, type, std::move(frame), /*from_catch_up=*/true)) {
+      return false;
+    }
+    if (telemetry_ != nullptr) {
+      telemetry_->replayed_frames->Add(1);
+    }
+    return true;
+  };
+  const std::size_t limit =
+      std::min(kCatchUpInstallsPerTurn,
+               gw::MaxGeoUpdatesPerFrame(options_.config.num_dcs));
+  std::vector<RemoteUpdate> metadata;
+  gw::GeoPayloadMsg msg;
+  for (std::size_t n = 0;
+       n < limit && catch_up.installs.Next(&msg.partition, &msg.payload); ++n) {
+    if (msg.payload.vts[options_.dc] <= catch_up.horizon) {
+      metadata.push_back(RemoteUpdate{msg.payload.uid, msg.payload.key,
+                                      msg.payload.vts, options_.dc,
+                                      msg.partition});
+    }
+    if (!send(nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg))) {
+      return;
+    }
+  }
+  if (!metadata.empty() &&
+      !send(nw::MsgType::kGeoMetaBatch,
+            gw::EncodeGeoMetaBatch(options_.dc, metadata.data(),
+                                   metadata.size()))) {
+    return;
+  }
+  if (!catch_up.installs.done()) {
+    loop_.Post([this, peer, epoch] { CatchUpStep(peer, epoch); });
+    return;
+  }
+  std::vector<std::pair<nw::MsgType, std::string>> held =
+      std::move(catch_up.held);
+  entry.catch_up.reset();
+  for (auto& [type, frame] : held) {
+    if (!SendToPeer(peer, type, std::move(frame), /*from_catch_up=*/true)) {
+      return;
+    }
   }
 }
 
@@ -270,18 +309,15 @@ void GeoNode::Start() {
   loop_.Start();
   loop_.Post([this] {
     runtime_->StartTimers();
-    // Re-fan-out every install the WAL retained: the pre-crash fan-out may
-    // not have reached every peer, and peers dedup whatever it did. The
-    // metadata re-ships itself — recovery re-enqueued the ops for
-    // stabilization.
-    for (const auto& [partition, payload] : recovered_installs_) {
-      for (DatacenterId k = 0; k < options_.config.num_dcs; ++k) {
-        if (k != options_.dc) {
-          SendPayload(options_.dc, k, partition, payload);
-        }
+    // The first links get the same catch-up as every later one: a recovered
+    // node re-ships the payloads its pre-crash fan-out may not have
+    // delivered (their metadata re-ships itself — recovery re-enqueued the
+    // ops for stabilization), a fresh node replays an empty WAL.
+    for (DatacenterId peer = 0; peer < options_.config.num_dcs; ++peer) {
+      if (peer != options_.dc && !peers_[peer].address.empty()) {
+        StartCatchUp(peer);
       }
     }
-    recovered_installs_.clear();
     if (durability_ != nullptr) {
       if (options_.fsync == wal::FsyncPolicy::kPerCommit) {
         AckTick();
@@ -316,9 +352,8 @@ void GeoNode::AckTick() {
     return;
   }
   // Acks carry the durable applied frontier per origin — sound to promise
-  // only under fsync-per-commit (Start gates on that), and only useful to
-  // peers retaining history, but sent to all: the peer decides what to
-  // truncate.
+  // only under fsync-per-commit (Start gates on that). A peer replays only
+  // above it and may truncate its install WAL up to it.
   const VectorTimestamp& site_time = runtime_->receiver().site_time();
   for (DatacenterId peer = 0; peer < options_.config.num_dcs; ++peer) {
     if (peer == options_.dc || peers_[peer].address.empty() ||
@@ -338,8 +373,7 @@ void GeoNode::SnapshotTick() {
   if (durability_->SnapshotDue()) {
     durability_->Snapshot(*runtime_, &sessions_, InstallTruncateMark());
   }
-  loop_.ScheduleAfter(options_.snapshot_check_interval_us,
-                      [this] { SnapshotTick(); });
+  loop_.ScheduleAfter(kSnapshotCheckIntervalUs, [this] { SnapshotTick(); });
 }
 
 void GeoNode::FsyncTick() {
@@ -387,12 +421,17 @@ void GeoNode::MetricsTick() {
 Timestamp GeoNode::InstallTruncateMark() const {
   // Every peer must durably hold an install before its WAL record may go.
   // peer_applied_ starts at 0 and WAL-less peers ack 0, so either pins the
-  // log — truncation only proceeds in an all-durable deployment.
+  // log — truncation only proceeds in an all-durable deployment. A running
+  // catch-up reads the logs by byte offset, so it pins them too.
   Timestamp mark = runtime_->eunomia().StableTime();
   for (DatacenterId peer = 0; peer < options_.config.num_dcs; ++peer) {
-    if (peer != options_.dc) {
-      mark = std::min(mark, peer_applied_[peer]);
+    if (peer == options_.dc) {
+      continue;
     }
+    if (peers_[peer].catch_up != nullptr) {
+      return 0;
+    }
+    mark = std::min(mark, peer_applied_[peer]);
   }
   return mark;
 }
@@ -417,8 +456,8 @@ void GeoNode::PausePayloadsTo(DatacenterId peer, bool paused) {
     Peer& entry = peers_[peer];
     entry.paused = paused;
     if (!paused) {
-      for (const std::string& frame : entry.parked) {
-        SendOnLink(entry.payloads, nw::MsgType::kGeoPayload, frame);
+      for (std::string& frame : entry.parked) {
+        SendToPeer(peer, nw::MsgType::kGeoPayload, std::move(frame));
       }
       entry.parked.clear();
     }
@@ -458,30 +497,26 @@ void GeoNode::SendHeartbeat(DatacenterId, PartitionId partition,
 
 void GeoNode::ChargeEunomia(DatacenterId, std::uint64_t) {}
 
-void GeoNode::SendOnLink(const std::shared_ptr<net::Connection>& link,
-                         nw::MsgType type, const std::string& payload) {
-  if (link == nullptr || !link->SendFrame(type, payload)) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void GeoNode::SendToPeer(DatacenterId to, nw::MsgType type, std::string frame,
-                         Timestamp ts) {
+bool GeoNode::SendToPeer(DatacenterId to, nw::MsgType type, std::string frame,
+                         bool from_catch_up) {
   Peer& entry = peers_[to];
-  if (options_.retain_peer_history && type != nw::MsgType::kGeoAck) {
-    // Acks are ephemeral link control — replaying a stale one could only
-    // mislead the peer about what this node currently holds.
-    entry.history.push_back({type, frame, ts});
+  if (!from_catch_up && entry.catch_up != nullptr &&
+      (type == nw::MsgType::kGeoMetaBatch ||
+       type == nw::MsgType::kGeoFrontier)) {
+    // Above the replay's horizon: it must follow the replay on the FIFO
+    // link. Payloads (unordered) and acks (link control) need not wait.
+    entry.catch_up->held.emplace_back(type, std::move(frame));
+    return true;
   }
   if (type == nw::MsgType::kGeoPayload && entry.paused) {
     entry.parked.push_back(std::move(frame));
-    return;
+    return true;
   }
   if (entry.down) {
-    // Lost for now: with history retention the reconnect replay re-ships
-    // it; without, this is the same loss a dead TCP send would be.
+    // Lost for now: a durable node's next catch-up re-ships it from the
+    // WAL; a WAL-less one has the same loss a dead TCP send would be.
     send_failures_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   const std::shared_ptr<net::Connection>& link =
       type == nw::MsgType::kGeoPayload ? entry.payloads : entry.metadata;
@@ -490,7 +525,9 @@ void GeoNode::SendToPeer(DatacenterId to, nw::MsgType type, std::string frame,
     // A local send failure is as authoritative as a reader-side close (the
     // usual death signal): fail the pair over to the re-dial loop.
     MarkLinkDown(to);
+    return false;
   }
+  return true;
 }
 
 void GeoNode::SendRemoteMetadata(DatacenterId, DatacenterId to,
@@ -501,21 +538,14 @@ void GeoNode::SendRemoteMetadata(DatacenterId, DatacenterId to,
       gw::MaxGeoUpdatesPerFrame(options_.config.num_dcs);
   for (std::size_t i = 0; i < batch.size(); i += max_per_frame) {
     const std::size_t n = std::min(max_per_frame, batch.size() - i);
-    // Batches ship in stabilization order, so the chunk's last update
-    // carries its highest own-component timestamp — the frontier a peer
-    // must have durably passed for this frame to be dead.
-    const RemoteUpdate& last = batch[i + n - 1];
     SendToPeer(to, nw::MsgType::kGeoMetaBatch,
-               gw::EncodeGeoMetaBatch(options_.dc, batch.data() + i, n),
-               last.vts[last.origin]);
+               gw::EncodeGeoMetaBatch(options_.dc, batch.data() + i, n));
   }
 }
 
 void GeoNode::SendFrontier(DatacenterId, DatacenterId to, Timestamp frontier) {
-  // A beacon is covered by the frontier it announces: once the peer
-  // durably applied up to it, the announcement carries no information.
   SendToPeer(to, nw::MsgType::kGeoFrontier,
-             gw::EncodeGeoFrontier({options_.dc, frontier}), frontier);
+             gw::EncodeGeoFrontier({options_.dc, frontier}));
 }
 
 void GeoNode::SendPayload(DatacenterId, DatacenterId to, PartitionId partition,
@@ -523,8 +553,7 @@ void GeoNode::SendPayload(DatacenterId, DatacenterId to, PartitionId partition,
   gw::GeoPayloadMsg msg;
   msg.partition = partition;
   msg.payload = std::move(payload);
-  const Timestamp ts = msg.payload.vts[msg.payload.origin];
-  SendToPeer(to, nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg), ts);
+  SendToPeer(to, nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg));
 }
 
 void GeoNode::SendApply(DatacenterId, PartitionId, std::function<void()> fn) {
@@ -567,9 +596,9 @@ net::ConnectionHandler GeoNode::MakeInboundHandler() {
       state->link_kind = hello.link_kind;
       if (hello.link_kind == gw::kMetadataLink && hello.resume_from > 0) {
         // The dialer names what it durably holds of OUR updates; raise the
-        // mark so our reconnect replay to it skips the covered prefix.
+        // mark so our catch-up replay to it skips the covered prefix.
         loop_.Post([this, peer = hello.dc, applied = hello.resume_from] {
-          NotePeerApplied(peer, applied);
+          peer_applied_[peer] = std::max(peer_applied_[peer], applied);
         });
       }
       return;
@@ -632,7 +661,7 @@ net::ConnectionHandler GeoNode::MakeInboundHandler() {
           return;
         }
         loop_.Post([this, peer = msg.dc, applied = msg.applied] {
-          NotePeerApplied(peer, applied);
+          peer_applied_[peer] = std::max(peer_applied_[peer], applied);
         });
         return;
       }

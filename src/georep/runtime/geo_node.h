@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -66,32 +67,20 @@ class GeoNode final : private Environment {
     // back at any time; Stop cancels the retry loop).
     std::uint32_t reconnect_backoff_ms = 50;
     std::uint32_t reconnect_backoff_max_ms = 1000;
-    // Retain every frame sent to each peer and replay it when the link is
-    // re-established — durable retransmission that lets a restarted peer
-    // catch up. Whatever the peer did keep arrives as duplicates and is
-    // absorbed by uid/timestamp dedup on its receive path. Frames a peer
-    // has durably acked (kGeoAck / hello resume_from) are truncated from
-    // the history and skipped on replay, so against durable peers the
-    // buffer stays bounded by the ack interval; against WAL-less peers
-    // (which ack 0) it grows without bound, as before.
-    bool retain_peer_history = false;
     // Durability: when durability_disk is set the node write-ahead-logs
     // every local install and every inbound metadata batch / payload before
     // processing it, snapshots periodically, and recovers from the disk in
     // the constructor — a kill -9'd node rejoins from its own WAL and needs
     // only incremental catch-up from peers (resume_from in its hellos names
-    // the recovered frontier). The disk must outlive the node.
+    // the recovered frontier). Only a node with a WAL can help a peer catch
+    // up (see StartCatchUp). The disk must outlive the node.
     wal::Disk* durability_disk = nullptr;
     // kInterval: inline appends, synced every wal::kFsyncIntervalBytes or
     // every wal::kFsyncIntervalUs (a loop timer), whichever comes first.
     wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
-    // Snapshot when at least snapshot_interval_bytes of log accumulated,
-    // checked every snapshot_check_interval_us.
-    std::uint64_t snapshot_check_interval_us = 250'000;
-    std::uint64_t snapshot_interval_bytes = 1u << 20;
     // Durable nodes ack their applied frontier to every peer at this
-    // period (the acks drive peers' history truncation and this node's
-    // install-log truncation).
+    // period (the acks move where peers' catch-up replays start and let
+    // their install WALs truncate).
     std::uint64_t ack_interval_us = 100'000;
     // Observability. When set, the node registers its per-dc series there
     // (visibility latency histograms, receiver queue-depth gauges, replay/
@@ -156,13 +145,10 @@ class GeoNode final : private Environment {
   // stopped node) only, like runtime().
   const GeoDurability* durability() const { return durability_.get(); }
   // Highest durably-applied frontier `peer` has acked for this node's
-  // updates, and the frames currently retained for it. Loop thread (or
-  // stopped node) only — use RunBlocking on a live node.
+  // updates. Loop thread (or stopped node) only — use RunBlocking on a live
+  // node.
   Timestamp peer_applied(DatacenterId peer) const {
     return peer_applied_[peer];
-  }
-  std::size_t retained_history_size(DatacenterId peer) const {
-    return peers_[peer].history.size();
   }
 
   // Test hook for the causality e2e: while paused, outbound payloads to
@@ -172,6 +158,17 @@ class GeoNode final : private Environment {
   void PausePayloadsTo(DatacenterId peer, bool paused);
 
  private:
+  // One WAL replay to one peer (see StartCatchUp).
+  struct CatchUp {
+    InstallCursor installs;
+    // StableTime() at the start: replayed metadata stops here, since an op
+    // Eunomia has not seen yet could still undercut anything above.
+    Timestamp horizon;
+    // Live metadata-link frames (all above the horizon), sent in order
+    // once the replay finishes.
+    std::vector<std::pair<net::wire::MsgType, std::string>> held;
+  };
+
   struct Peer {
     std::string address;  // as dialed; background reconnects re-dial it
     std::shared_ptr<net::Connection> metadata;
@@ -181,18 +178,10 @@ class GeoNode final : private Environment {
     bool paused = false;
     // Encoded kGeoPayload frames parked while paused.
     std::vector<std::string> parked;
-    struct Sent {
-      net::wire::MsgType type;
-      std::string frame;
-      // Self-origin frontier that covers this frame (last contained
-      // update's own-component timestamp; the beacon value for frontier
-      // frames). A peer that durably acked `applied` needs no frame with
-      // ts <= applied. 0 = not coverable, always replay.
-      Timestamp ts = 0;
-    };
-    // Options::retain_peer_history: frames sent and not yet acked
-    // durable by this peer, in send order.
-    std::vector<Sent> history;
+    // The replay in flight on the current links; null when none is. Bumping
+    // catch_up_epoch orphans the chunks a previous replay left posted.
+    std::unique_ptr<CatchUp> catch_up;
+    std::uint64_t catch_up_epoch = 0;
   };
 
   // Environment implementation (all invoked from the loop thread).
@@ -218,22 +207,25 @@ class GeoNode final : private Environment {
                  std::function<void()> fn) override;
 
   net::ConnectionHandler MakeInboundHandler();
-  void SendOnLink(const std::shared_ptr<net::Connection>& link,
-                  net::wire::MsgType type, const std::string& payload);
-  // Live-path send: records history (when retained), parks paused payloads,
-  // and on a send failure marks the peer down. Loop thread only. `ts` is
-  // the covering frontier recorded with the history entry (see Peer::Sent).
-  void SendToPeer(DatacenterId to, net::wire::MsgType type, std::string frame,
-                  Timestamp ts = 0);
+  // Holds live metadata-link frames behind a running catch-up, parks
+  // paused payloads, sends everything else on its link, and on a send
+  // failure marks the peer down. False when the frame was lost. Loop
+  // thread only.
+  bool SendToPeer(DatacenterId to, net::wire::MsgType type, std::string frame,
+                  bool from_catch_up = false);
   // Dials both links to peers_[peer].address. Synchronous; false if either
   // dial or hello failed (nothing is kept half-connected).
   bool DialLinks(DatacenterId peer);
   // Drops both links and schedules the backoff re-dial loop. Loop thread.
   void MarkLinkDown(DatacenterId peer);
   void TryReconnect(DatacenterId peer);
-  // Raises peer_applied_[peer] and truncates its retained history below
-  // the new mark. Loop thread only.
-  void NotePeerApplied(DatacenterId peer, Timestamp applied);
+  // Whenever a peer's links come up (Start, re-dial): replays every WAL
+  // install above what the peer durably acked (its dedup absorbs the rest)
+  // — payloads for all, metadata up to the horizon — one bounded chunk per
+  // loop turn, so local clients are served meanwhile. No-op without a WAL.
+  void StartCatchUp(DatacenterId peer);
+  // Sends one chunk and re-posts itself; the last releases the held frames.
+  void CatchUpStep(DatacenterId peer, std::uint64_t epoch);
   // Periodic durable-node duties (self-rescheduling loop timers).
   void AckTick();
   void SnapshotTick();
@@ -245,7 +237,8 @@ class GeoNode final : private Environment {
   void MetricsTick();
   // Frontier up to which this node's install WAL may be truncated: its own
   // stable frontier, floored by what every peer has durably acked (0 until
-  // all peers ack — a peer that never acks pins the log, by design).
+  // all peers ack — a peer that never acks pins the log, by design — and 0
+  // while any catch-up is reading the log).
   Timestamp InstallTruncateMark() const;
 
   // Per-dc registry series plus the mirror marks MetricsTick deltas
@@ -275,9 +268,6 @@ class GeoNode final : private Environment {
   SessionMap sessions_;
   std::unique_ptr<GeoDurability> durability_;  // before runtime_: its hooks
   std::unique_ptr<DatacenterRuntime> runtime_;
-  // Installs recovered from the WAL, re-fanned-out to every peer at Start
-  // (the pre-crash fan-out may not have completed; peers dedup).
-  std::vector<std::pair<PartitionId, RemotePayload>> recovered_installs_;
   std::vector<Timestamp> peer_applied_;  // loop thread; indexed by peer
   std::vector<Peer> peers_;  // indexed by DatacenterId; [dc()] unused
   std::atomic<bool> started_{false};

@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -100,15 +101,18 @@ std::unique_ptr<File> PosixDisk::OpenAppend(const std::string& name) {
   return std::make_unique<PosixFile>(fd);
 }
 
-bool PosixDisk::ReadAll(const std::string& name, std::string* out) {
+bool PosixDisk::ReadAt(const std::string& name, std::uint64_t offset,
+                       std::size_t max_bytes, std::string* out) {
   out->clear();
   const int fd = ::open(Path(name).c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return false;
   }
   char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+  while (out->size() < max_bytes) {
+    const std::size_t want = std::min(sizeof(buf), max_bytes - out->size());
+    const ssize_t n = ::pread(fd, buf, want,
+                              static_cast<off_t>(offset + out->size()));
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -191,7 +195,7 @@ class MemFile final : public File {
 bool MemFile::Append(std::string_view data) {
   sync::MutexLock lock(disk_->mu_);
   auto& file = disk_->files_[name_];
-  file.data.append(data.data(), data.size());
+  file.data.insert(file.data.end(), data.begin(), data.end());
   disk_->bytes_written_ += data.size();
   return true;
 }
@@ -212,21 +216,27 @@ std::unique_ptr<File> MemDisk::OpenAppend(const std::string& name) {
   return std::make_unique<MemFile>(this, name);
 }
 
-bool MemDisk::ReadAll(const std::string& name, std::string* out) {
+bool MemDisk::ReadAt(const std::string& name, std::uint64_t offset,
+                     std::size_t max_bytes, std::string* out) {
   out->clear();
   sync::MutexLock lock(mu_);
   const auto it = files_.find(name);
   if (it == files_.end()) {
     return false;
   }
-  *out = it->second.data;
+  const std::deque<char>& data = it->second.data;
+  if (offset < data.size()) {
+    const auto first = data.begin() + static_cast<std::ptrdiff_t>(offset);
+    out->resize(std::min<std::size_t>(max_bytes, data.end() - first));
+    std::copy_n(first, out->size(), out->data());
+  }
   return true;
 }
 
 bool MemDisk::WriteAtomic(const std::string& name, std::string_view data) {
   sync::MutexLock lock(mu_);
   auto& file = files_[name];
-  file.data.assign(data.data(), data.size());
+  file.data.assign(data.begin(), data.end());
   file.durable = file.data.size();
   bytes_written_ += data.size();
   ++syncs_;

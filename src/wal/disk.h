@@ -16,12 +16,13 @@
 //     possibly mid-record) and bit flips inside that torn tail. Recovery
 //     must detect both by CRC/length and never propagate them.
 //
-// The contract is deliberately tiny (append, sync, read-all, atomic
+// The contract is deliberately tiny (append, sync, ranged read, atomic
 // replace, remove): a WAL needs nothing more, and every operation has an
 // obvious crash-consistency story.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,8 +54,13 @@ class Disk {
 
   // Opens `name` for appending, creating it empty if missing.
   virtual std::unique_ptr<File> OpenAppend(const std::string& name) = 0;
-  // Reads the whole file. False if it does not exist (out is cleared).
-  virtual bool ReadAll(const std::string& name, std::string* out) = 0;
+  // Reads up to `max_bytes` of `name` from byte `offset` on (fewer at the
+  // end of the file). False if it does not exist (out is cleared).
+  virtual bool ReadAt(const std::string& name, std::uint64_t offset,
+                      std::size_t max_bytes, std::string* out) = 0;
+  bool ReadAll(const std::string& name, std::string* out) {
+    return ReadAt(name, 0, SIZE_MAX, out);
+  }
   // Atomically replaces `name` with `data` (write temp + sync + rename).
   // After a crash the file holds either the old or the new contents.
   virtual bool WriteAtomic(const std::string& name, std::string_view data) = 0;
@@ -71,7 +77,8 @@ class PosixDisk final : public Disk {
   bool ok() const { return ok_; }  // the directory exists / was created
 
   std::unique_ptr<File> OpenAppend(const std::string& name) override;
-  bool ReadAll(const std::string& name, std::string* out) override;
+  bool ReadAt(const std::string& name, std::uint64_t offset,
+              std::size_t max_bytes, std::string* out) override;
   bool WriteAtomic(const std::string& name, std::string_view data) override;
   bool Remove(const std::string& name) override;
   std::vector<std::string> List() override;
@@ -93,7 +100,8 @@ class MemDisk : public Disk {
   MemDisk() = default;
 
   std::unique_ptr<File> OpenAppend(const std::string& name) override;
-  bool ReadAll(const std::string& name, std::string* out) override;
+  bool ReadAt(const std::string& name, std::uint64_t offset,
+              std::size_t max_bytes, std::string* out) override;
   bool WriteAtomic(const std::string& name, std::string_view data) override;
   bool Remove(const std::string& name) override;
   std::vector<std::string> List() override;
@@ -107,7 +115,9 @@ class MemDisk : public Disk {
 
  protected:
   struct FileState {
-    std::string data;
+    // Chunked: a contiguous buffer would copy the whole file at every
+    // doubling, an append stall that grows with the log.
+    std::deque<char> data;
     std::size_t durable = 0;  // prefix made durable by Sync / WriteAtomic
   };
 

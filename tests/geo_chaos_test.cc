@@ -28,8 +28,11 @@
 #include "src/georep/runtime/chaos/nemesis.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
+#include "src/metrics/counter.h"
+#include "src/metrics/registry.h"
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
+#include "src/wal/disk.h"
 
 namespace eunomia {
 namespace {
@@ -428,20 +431,22 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
 
 // The highest-value chaos scenario on the real binding: the remote peer
 // dies with total state loss mid-traffic, reboots on the same address, and
-// the survivor's background re-dial plus retained-history replay brings it
-// back to an identical store.
+// the survivor's background re-dial plus WAL catch-up brings it back to an
+// identical store.
 TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   using geo::rt::GeoNode;
   GeoConfig config = SmallConfig(2, false);
 
+  wal::MemDisk disk0;  // the survivor's install WAL is the catch-up source
   GeoNode::Options options0;
   options0.dc = 0;
   options0.config = config;
-  options0.retain_peer_history = true;
+  options0.durability_disk = &disk0;
   options0.reconnect_backoff_ms = 20;
   options0.reconnect_backoff_max_ms = 100;
   GeoNode::Options options1 = options0;
   options1.dc = 1;
+  options1.durability_disk = nullptr;  // dc1 loses everything when it dies
 
   auto transport0 = std::make_unique<net::EpollTransport>();
   auto transport1 = std::make_unique<net::EpollTransport>();
@@ -540,6 +545,118 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   // Break the writer chain's self-reference cycle (the function captures
   // the shared_ptr that owns it) now that both event loops are joined.
   *issue = nullptr;
+}
+
+// Catch-up replays in bounded chunks on the event loop, so local clients
+// keep being served while a long WAL suffix drains to a rebooted peer: a
+// closed-loop reader at dc0 keeps completing reads between the chunks. A
+// replay sent in one pass would let reads see the replayed-frame count only
+// before it started or after it finished, never in between.
+TEST(GeoNodeTcp, LocalReadsCompleteWhileCatchUpRuns) {
+  using geo::rt::GeoNode;
+  GeoConfig config = SmallConfig(2, false);
+
+  wal::MemDisk disk0;
+  metrics::Registry registry;
+  GeoNode::Options options0;
+  options0.dc = 0;
+  options0.config = config;
+  options0.durability_disk = &disk0;
+  options0.metrics = &registry;
+  options0.reconnect_backoff_ms = 20;
+  options0.reconnect_backoff_max_ms = 100;
+  GeoNode::Options options1 = options0;
+  options1.dc = 1;
+  options1.durability_disk = nullptr;
+  options1.metrics = nullptr;
+
+  auto transport0 = std::make_unique<net::EpollTransport>();
+  auto transport1 = std::make_unique<net::EpollTransport>();
+  auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
+  auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
+  const std::string addr0 = node0->Listen("127.0.0.1:0");
+  const std::string addr1 = node1->Listen("127.0.0.1:0");
+  ASSERT_FALSE(addr0.empty());
+  ASSERT_FALSE(addr1.empty());
+  ASSERT_TRUE(node0->ConnectPeer(1, addr1));
+  ASSERT_TRUE(node1->ConnectPeer(0, addr0));
+  node0->Start();
+  node1->Start();
+  const auto replayed = std::static_pointer_cast<metrics::Counter>(
+      registry.Find("eunomia_georep_replayed_frames_total", {{"dc", "0"}}));
+  ASSERT_NE(replayed, nullptr);
+
+  // The reader records, on dc0's loop, the replayed-frame count each read
+  // completes at.
+  std::atomic<bool> stop{false};
+  std::vector<std::uint64_t> seen;  // dc0 loop thread only until Stop
+  auto read = std::make_shared<std::function<void()>>();
+  GeoNode* reader = node0.get();
+  *read = [reader, read, replayed, &stop, &seen] {
+    if (stop.load(std::memory_order_relaxed)) {
+      return;
+    }
+    reader->ClientRead(200, 0, [read, replayed, &seen] {
+      seen.push_back(replayed->value());
+      (*read)();
+    });
+  };
+  (*read)();
+
+  // dc1 dies; dc0 installs a long suffix it must later replay.
+  node1.reset();
+  transport1.reset();
+  constexpr int kUpdates = 20'000;
+  std::atomic<bool> written{false};
+  auto write = std::make_shared<std::function<void(int)>>();
+  *write = [reader, write, &written](int i) {
+    if (i == kUpdates) {
+      written.store(true);
+      return;
+    }
+    reader->ClientUpdate(100, static_cast<Key>(i % 32),
+                         "v" + std::to_string(i),
+                         [write, i] { (*write)(i + 1); });
+  };
+  (*write)(0);
+  for (int i = 0; i < 2000 && !written.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(written.load());
+
+  transport1 = std::make_unique<net::EpollTransport>();
+  node1 = std::make_unique<GeoNode>(transport1.get(), options1);
+  ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
+  ASSERT_TRUE(node1->ConnectPeer(0, addr0));
+  node1->Start();
+
+  // Wait until the replay has drained: the count stops moving.
+  std::uint64_t total = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    const std::uint64_t now = replayed->value();
+    if (now >= static_cast<std::uint64_t>(kUpdates) && now == total) {
+      break;
+    }
+    total = now;
+  }
+  stop.store(true);
+  node0->Stop();
+  node1->Stop();
+  *read = nullptr;
+  *write = nullptr;
+
+  EXPECT_GE(node0->reconnects(), 1u);
+  ASSERT_GE(total, static_cast<std::uint64_t>(kUpdates))
+      << "every logged install's payload is replayed";
+  std::size_t mid_replay = 0;
+  for (const std::uint64_t at : seen) {
+    if (at > 0 && at < total) {
+      ++mid_replay;
+    }
+  }
+  EXPECT_GT(mid_replay, 0u) << "no local read completed during the replay of "
+                            << total << " frames";
 }
 
 }  // namespace

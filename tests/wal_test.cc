@@ -147,6 +147,13 @@ TEST(MemDisk, WriteAtomicIsDurableAndHandleFollowsName) {
   std::string contents;
   ASSERT_TRUE(disk.ReadAll("f", &contents));
   EXPECT_EQ(contents, "new+tail");
+  // Ranged reads clamp at the end of the file.
+  ASSERT_TRUE(disk.ReadAt("f", 3, 3, &contents));
+  EXPECT_EQ(contents, "+ta");
+  ASSERT_TRUE(disk.ReadAt("f", 5, 100, &contents));
+  EXPECT_EQ(contents, "ail");
+  ASSERT_TRUE(disk.ReadAt("f", 8, 4, &contents));
+  EXPECT_TRUE(contents.empty());
 }
 
 TEST(MemDisk, MissingFileReadsFalse) {
@@ -236,6 +243,12 @@ TEST(PosixDisk, RoundTripsThroughRealFiles) {
     std::string contents;
     ASSERT_TRUE(disk.ReadAll("log", &contents));
     EXPECT_EQ(contents, "hello disk");
+    ASSERT_TRUE(disk.ReadAt("log", 6, 3, &contents));
+    EXPECT_EQ(contents, "dis");
+    ASSERT_TRUE(disk.ReadAt("log", 6, 100, &contents));
+    EXPECT_EQ(contents, "disk");
+    ASSERT_TRUE(disk.ReadAt("log", 10, 4, &contents));
+    EXPECT_TRUE(contents.empty());
     ASSERT_TRUE(disk.ReadAll("snap", &contents));
     EXPECT_EQ(contents, "snapshot-bytes");
     auto names = disk.List();
@@ -414,7 +427,6 @@ EunomiaService::Options DurableServiceOptions(wal::Disk* disk,
   options.sink = std::move(sink);
   options.durability.disk = disk;
   options.durability.fsync = FsyncPolicy::kPerCommit;
-  options.durability.threaded = false;  // deterministic inline appends
   options.durability.snapshot_interval_bytes = snapshot_bytes;
   return options;
 }
@@ -503,8 +515,13 @@ TEST(ServiceRecovery, SnapshotSuppressesReEmissionOfTheCoveredPrefix) {
       service.Heartbeat(p, 1'000'000);
     }
     WaitForStabilized(service, 100);
+    // Snapshots run on the WAL's maintenance thread: crash only once one
+    // has landed, so the restart has a mark to suppress below.
+    for (int i = 0; i < 5000 && service.wal_snapshots() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     disk.Crash();
-    service.Stop();  // joins the merge thread, so the count below is final
+    service.Stop();
     snapshots = service.wal_snapshots();
     first_stream = capture.Snapshot();
     ASSERT_EQ(first_stream.size(), 100u);
