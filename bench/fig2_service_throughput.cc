@@ -33,28 +33,17 @@
 // machine-readable BENCH_fig2.json (in the working directory) so CI can
 // archive the perf trajectory PR-over-PR. `--smoke` runs only that part
 // with a tiny op count (CI exercises the pipeline on every push).
-// A fourth part (`--transport=tcp` or `--transport=loopback`) measures the
-// same fixed load submitted through the src/net/ stack — one EunomiaClient
-// connection per partition into an EunomiaServer, over real loopback TCP
-// sockets (or the in-process LoopbackTransport, isolating the wire-format
-// cost from the kernel's) — so the throughput curve includes a real socket
-// hop and lands in BENCH_fig2.json next to the in-process numbers.
-#include <atomic>
+// The live service over epoll TCP is measured open loop by perfbench's
+// order_tcp workload (perfbench/), not here.
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
-#include "bench/net_driver.h"
 #include "bench/service_driver.h"
-#include "src/metrics/metrics_server.h"
-#include "src/metrics/registry.h"
 #include "src/eunomia/core.h"
-#include "src/eunomia/service.h"
-#include "src/net/epoll_transport.h"
-#include "src/net/loopback_transport.h"
 #include "src/harness/table.h"
 #include "src/sim/network.h"
 #include "src/sim/server.h"
@@ -238,64 +227,6 @@ double SimulateSequencer(std::uint32_t clients) {
 
 // --- part 3: native sharded-service scaling ----------------------------------
 
-struct ScanPoint {
-  std::uint32_t shards;
-  double ops_per_sec;
-  // "inproc" for direct SubmitBatch calls, else the net transport used.
-  const char* transport = "inproc";
-  double ack_mean_us = -1.0;  // mean batch-ack round trip; < 0 = n/a
-  // Batch-ack round-trip percentiles (bucket upper bounds); < 0 = n/a.
-  double ack_p50_us = -1.0;
-  double ack_p95_us = -1.0;
-  double ack_p99_us = -1.0;
-  // True for the below-capacity paced run (1 ms batch pacing) whose ack
-  // percentiles measure latency rather than saturation queueing.
-  bool paced = false;
-};
-
-// The machine-readable perf-trajectory artifact CI archives on every push:
-// stabilized throughput per (transport, shard count).
-void WriteBenchJson(const char* path, bool smoke,
-                    const std::vector<ScanPoint>& points,
-                    const bench::FixedLoad& load) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig2_service_throughput\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"num_partitions\": %u,\n", load.num_partitions);
-  std::fprintf(f, "  \"ops_per_partition\": %llu,\n",
-               static_cast<unsigned long long>(load.ops_per_partition));
-  std::fprintf(f, "  \"series\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"shards\": %u, \"transport\": \"%s\", "
-                 "\"mops_per_s\": %.3f",
-                 points[i].shards, points[i].transport,
-                 points[i].ops_per_sec / 1e6);
-    if (points[i].ack_mean_us >= 0.0) {
-      std::fprintf(f, ", \"ack_mean_us\": %.1f", points[i].ack_mean_us);
-    }
-    if (points[i].ack_p50_us >= 0.0) {
-      std::fprintf(f,
-                   ", \"ack_p50_us\": %.1f, \"ack_p95_us\": %.1f, "
-                   "\"ack_p99_us\": %.1f",
-                   points[i].ack_p50_us, points[i].ack_p95_us,
-                   points[i].ack_p99_us);
-    }
-    if (points[i].paced) {
-      std::fprintf(f, ", \"paced\": true");
-    }
-    std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu scan points)\n", path, points.size());
-}
-
 bench::FixedLoad MakeScanLoad(bool smoke) {
   bench::FixedLoad load;
   if (smoke) {
@@ -307,8 +238,9 @@ bench::FixedLoad MakeScanLoad(bool smoke) {
 
 // Returns false if any configuration failed to stabilize its load (the CI
 // smoke step must go red on a stalled pipeline, not print a zero row).
-bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
-  const bench::FixedLoad load = MakeScanLoad(smoke);
+// Each configuration becomes one BENCH_fig2.json series row.
+bool RunShardScan(const bench::FixedLoad& load, bool smoke,
+                  bench::BenchJson* json) {
   const std::vector<std::uint32_t> shard_counts =
       smoke ? std::vector<std::uint32_t>{1u, 4u}
             : std::vector<std::uint32_t>{1u, 2u, 4u, 8u};
@@ -328,7 +260,10 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
     if (shards == 1) {
       one_shard = rate;
     }
-    points->push_back({shards, rate, "inproc", -1.0});
+    json->AddRow()
+        .Int("shards", shards)
+        .Str("transport", "inproc")
+        .Num("mops_per_s", rate / 1e6, 3);
     table.AddRow({Table::Num(shards, 0), Table::Num(rate / 1000.0, 0),
                   one_shard > 0 ? Table::Num(rate / one_shard, 2) + "x"
                                 : "n/a"});
@@ -340,181 +275,8 @@ bool RunShardScan(bool smoke, std::vector<ScanPoint>* points) {
   return all_converged;
 }
 
-// --- part 4: the same load through the src/net/ transport stack --------------
-
-// `kind` is "tcp" (real loopback sockets) or "loopback" (the in-process
-// transport backend — same wire format and session layer, no kernel).
-// One client connection per partition.
-bool RunTransportScan(const std::string& kind, bool smoke,
-                      std::vector<ScanPoint>* points) {
-  const bench::FixedLoad load = MakeScanLoad(smoke);
-  const std::vector<std::uint32_t> shard_counts =
-      smoke ? std::vector<std::uint32_t>{1u, 4u}
-            : std::vector<std::uint32_t>{1u, 2u, 4u, 8u};
-  std::printf(
-      "\nnetworked service (%s transport): %u client connections race "
-      "%llu ops each\nthrough net::EunomiaClient -> eunomiad-style "
-      "net::EunomiaServer\n",
-      kind.c_str(), load.num_partitions,
-      static_cast<unsigned long long>(load.ops_per_partition));
-  Table table({"transport", "num_shards", "stabilized (kops/s)",
-               "ack mean (us)", "ack p95 (us)", "ack max (us)"});
-  bool all_converged = true;
-  // The TCP runs double as the scrape-endpoint exercise for CI: the server
-  // and service register into the default registry (where the net layer's
-  // frame counters already live), a MetricsServer serves it on an ephemeral
-  // loopback port, and a sidecar thread scrapes it WHILE the load runs —
-  // proving the exposition path is safe against live wait-free writers, not
-  // just after quiescence. The last mid-run scrape is written to
-  // fig2_tcp_scrape.prom so CI archives a real exposition next to
-  // BENCH_fig2.json.
-  metrics::MetricsServer metrics_server;
-  std::string metrics_address;
-  std::string last_scrape;
-  if (kind == "tcp") {
-    metrics_address = metrics_server.Start("127.0.0.1:0");
-  }
-  for (const std::uint32_t shards : shard_counts) {
-    // Fresh transport per run: EunomiaServer::Stop shuts its transport down.
-    bench::TransportRunResult result;
-    if (kind == "tcp") {
-      net::EpollTransport transport;
-      std::atomic<bool> done{false};
-      std::thread scraper([&metrics_address, &last_scrape, &done] {
-        while (!done.load(std::memory_order_relaxed)) {
-          std::string body;
-          if (metrics::HttpGet(metrics_address, "/metrics", &body) &&
-              !body.empty()) {
-            last_scrape = std::move(body);
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-      });
-      result = bench::MeasureTransportThroughput(
-          transport, "127.0.0.1:0", shards, load, 200,
-          &metrics::Registry::Default());
-      done.store(true, std::memory_order_relaxed);
-      scraper.join();
-    } else {
-      net::LoopbackTransport transport;
-      result = bench::MeasureTransportThroughput(transport, "fig2", shards,
-                                                 load);
-    }
-    if (result.ops_per_sec <= 0.0) {
-      all_converged = false;
-    }
-    ScanPoint point{shards, result.ops_per_sec,
-                    kind == "tcp" ? "tcp" : "loopback",
-                    result.ack_latency_us.Mean()};
-    point.ack_p50_us =
-        static_cast<double>(result.ack_latency_us.Percentile(50));
-    point.ack_p95_us =
-        static_cast<double>(result.ack_latency_us.Percentile(95));
-    point.ack_p99_us =
-        static_cast<double>(result.ack_latency_us.Percentile(99));
-    points->push_back(point);
-    table.AddRow({kind, Table::Num(shards, 0),
-                  Table::Num(result.ops_per_sec / 1000.0, 0),
-                  Table::Num(result.ack_latency_us.Mean(), 0),
-                  Table::Num(point.ack_p95_us, 0),
-                  Table::Num(static_cast<double>(result.ack_latency_us.Max()),
-                             0)});
-  }
-  table.Print();
-
-  // The latency point: the same client/server stack, but the producers pace
-  // themselves well below capacity (the paper's 1 ms batching, small
-  // batches), so the ack percentiles measure the round trip itself instead
-  // of saturation queueing. This is the "ack p95 at fixed load" series.
-  {
-    bench::FixedLoad paced = load;
-    // 20 ops per partition per millisecond = 320 kops/s offered across the
-    // 16 partitions — far below the measured capacity, so the percentiles
-    // reflect the round trip, not queueing.
-    paced.ops_per_batch = 20;
-    paced.batch_interval_us = 1000;
-    paced.ops_per_partition = smoke ? 1'000 : 10'000;
-    const std::uint32_t shards = shard_counts.back();
-    bench::TransportRunResult result;
-    if (kind == "tcp") {
-      net::EpollTransport transport;
-      result = bench::MeasureTransportThroughput(
-          transport, "127.0.0.1:0", shards, paced, 200,
-          &metrics::Registry::Default());
-    } else {
-      net::LoopbackTransport transport;
-      result = bench::MeasureTransportThroughput(transport, "fig2-paced",
-                                                 shards, paced);
-    }
-    if (result.ops_per_sec <= 0.0) {
-      all_converged = false;
-    }
-    ScanPoint point{shards, result.ops_per_sec,
-                    kind == "tcp" ? "tcp" : "loopback",
-                    result.ack_latency_us.Mean()};
-    point.paced = true;
-    point.ack_p50_us =
-        static_cast<double>(result.ack_latency_us.Percentile(50));
-    point.ack_p95_us =
-        static_cast<double>(result.ack_latency_us.Percentile(95));
-    point.ack_p99_us =
-        static_cast<double>(result.ack_latency_us.Percentile(99));
-    points->push_back(point);
-    std::printf(
-        "\npaced below-capacity run (%u shards, %llu ops/batch every 1 ms): "
-        "ack p50 %.0f us, p95 %.0f us, p99 %.0f us\n",
-        shards, static_cast<unsigned long long>(paced.ops_per_batch),
-        point.ack_p50_us, point.ack_p95_us, point.ack_p99_us);
-  }
-  if (kind == "tcp") {
-    metrics_server.Stop();
-    // A mid-run scrape that is missing the key series means the endpoint or
-    // the instrumentation regressed — fail the smoke, not just the archive.
-    bool scrape_ok = !last_scrape.empty();
-    for (const char* name :
-         {"eunomia_net_frames_in_total", "eunomia_net_bytes_in_total",
-          "eunomia_server_ack_latency_microseconds_count",
-          "eunomia_service_ops_stabilized_total"}) {
-      bool found = false;
-      metrics::SeriesSum(last_scrape, name, &found);
-      scrape_ok = scrape_ok && found;
-      if (!found) {
-        std::printf("ERROR: mid-run scrape is missing series %s\n", name);
-      }
-    }
-    if (std::FILE* f = std::fopen("fig2_tcp_scrape.prom", "w")) {
-      std::fwrite(last_scrape.data(), 1, last_scrape.size(), f);
-      std::fclose(f);
-      std::printf("wrote fig2_tcp_scrape.prom (%zu bytes, scraped mid-run)\n",
-                  last_scrape.size());
-    } else {
-      std::printf("WARNING: could not write fig2_tcp_scrape.prom\n");
-    }
-    all_converged = all_converged && scrape_ok;
-  }
-  if (!all_converged) {
-    std::printf("ERROR: a transport configuration did not stabilize its load\n");
-  }
-  return all_converged;
-}
-
-int Run(bool smoke, const std::string& transport) {
-  harness::PrintBanner(
-      "Figure 2: maximum throughput, Eunomia vs a synchronous sequencer",
-      "clients connect directly to the services (each client = one "
-      "partition); Eunomia batches 1 ms off the critical path");
-
-  std::vector<ScanPoint> points;
-  if (smoke) {
-    bool ok = RunShardScan(/*smoke=*/true, &points);
-    if (transport != "inproc") {
-      ok = RunTransportScan(transport, /*smoke=*/true, &points) && ok;
-    }
-    WriteBenchJson("BENCH_fig2.json", /*smoke=*/true, points,
-                   MakeScanLoad(true));
-    return ok ? 0 : 1;
-  }
-
+// Parts 1 and 2 print the figure; --smoke runs part 3 alone.
+void RunFigure() {
   std::printf(
       "\nnative EunomiaCore ingest+stabilize rate: %.1f Mops/s\n"
       "=> the ordering core is ~2 orders of magnitude faster than "
@@ -541,13 +303,23 @@ int Run(bool smoke, const std::string& transport) {
       "stays flat at 75; the sequencer\nsaturates ~48 kops/s regardless of "
       "clients (7.7x). peak measured ratio: %.1fx\n",
       peak_ratio);
+}
 
-  bool ok = RunShardScan(/*smoke=*/false, &points);
-  if (transport != "inproc") {
-    ok = RunTransportScan(transport, /*smoke=*/false, &points) && ok;
+int Run(bool smoke) {
+  harness::PrintBanner(
+      "Figure 2: maximum throughput, Eunomia vs a synchronous sequencer",
+      "clients connect directly to the services (each client = one "
+      "partition); Eunomia batches 1 ms off the critical path");
+  if (!smoke) {
+    RunFigure();
   }
-  WriteBenchJson("BENCH_fig2.json", /*smoke=*/false, points,
-                 MakeScanLoad(false));
+  const bench::FixedLoad load = MakeScanLoad(smoke);
+  bench::BenchJson json("fig2_service_throughput", smoke);
+  json.scalars()
+      .Int("num_partitions", load.num_partitions)
+      .Int("ops_per_partition", load.ops_per_partition);
+  const bool ok = RunShardScan(load, smoke, &json);
+  json.Write("BENCH_fig2.json");
   return ok ? 0 : 1;
 }
 
@@ -555,16 +327,9 @@ int Run(bool smoke, const std::string& transport) {
 }  // namespace eunomia
 
 int main(int argc, char** argv) {
-  eunomia::bench::Flags flags(argc, argv, {"smoke", "transport"});
+  eunomia::bench::Flags flags(argc, argv, {"smoke"});
   if (!flags.ok()) {
     return flags.FailUsage();
   }
-  const std::string transport = flags.Get("transport", "inproc");
-  if (transport != "inproc" && transport != "tcp" && transport != "loopback") {
-    std::fprintf(stderr,
-                 "--transport must be inproc, tcp or loopback (got '%s')\n",
-                 transport.c_str());
-    return 2;
-  }
-  return eunomia::Run(flags.smoke(), transport);
+  return eunomia::Run(flags.smoke());
 }

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "src/harness/geo_experiment.h"
 #include "src/harness/table.h"
@@ -48,43 +49,25 @@ metrics::Histogram::Snapshot SnapPair(const geo::VisibilityTracker& tracker,
   return hist != nullptr ? hist->Snap() : metrics::Histogram::Snapshot{};
 }
 
-// Machine-readable companion of the printed tables (same JSON shape as
-// BENCH_fig2.json / BENCH_fig5.json): per system x WAN leg, the visibility
-// percentiles CI archives to track the trajectory.
+// Machine-readable companion of the printed tables: per system x WAN leg,
+// the visibility percentiles CI archives to track the trajectory.
 void WriteBenchJson(bool smoke, const std::vector<SystemCdfs>& cdfs) {
-  std::FILE* f = std::fopen("BENCH_fig6.json", "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write BENCH_fig6.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"fig6_visibility_cdf\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"series\": [\n");
-  bool first = true;
+  bench::BenchJson json("fig6_visibility_cdf", smoke);
   for (const auto& entry : cdfs) {
     for (const bool right : {false, true}) {
       const metrics::Histogram::Snapshot& cdf = right ? entry.right : entry.left;
       if (cdf.count == 0) {
         continue;
       }
-      if (!first) {
-        std::fprintf(f, ",\n");
-      }
-      first = false;
-      std::fprintf(
-          f,
-          "    {\"system\": \"%s\", \"pair\": \"%s\", "
-          "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f}",
-          entry.name.c_str(), right ? "dc1->dc2" : "dc0->dc1",
-          static_cast<double>(cdf.Quantile(0.50)) / 1000.0,
-          static_cast<double>(cdf.Quantile(0.95)) / 1000.0,
-          static_cast<double>(cdf.Quantile(0.99)) / 1000.0);
+      json.AddRow()
+          .Str("system", entry.name)
+          .Str("pair", right ? "dc1->dc2" : "dc0->dc1")
+          .Num("p50_ms", static_cast<double>(cdf.Quantile(0.50)) / 1000.0, 2)
+          .Num("p95_ms", static_cast<double>(cdf.Quantile(0.95)) / 1000.0, 2)
+          .Num("p99_ms", static_cast<double>(cdf.Quantile(0.99)) / 1000.0, 2);
     }
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_fig6.json\n");
+  json.Write("BENCH_fig6.json");
 }
 
 void Run(bool smoke) {

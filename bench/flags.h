@@ -1,16 +1,16 @@
 // Shared command-line parsing for the bench binaries.
 //
 // Every self-driving benchmark accepts GNU-style flags, either boolean
-// (`--smoke`) or key=value (`--transport=tcp`), declared up front so a typo
+// (`--smoke`) or key=value (`--seeds=20`), declared up front so a typo
 // is a usage error instead of a silent no-op. ablation_ordered_buffer is
 // the one exception: it is a Google Benchmark binary and keeps that
 // framework's own argv handling.
 //
 // Usage:
 //   int main(int argc, char** argv) {
-//     eunomia::bench::Flags flags(argc, argv, {"smoke", "transport"});
+//     eunomia::bench::Flags flags(argc, argv, {"smoke", "seeds"});
 //     if (!flags.ok()) return flags.FailUsage();
-//     ... flags.smoke(), flags.Get("transport", "inproc") ...
+//     ... flags.smoke(), flags.GetUint("seeds", 200) ...
 //   }
 #pragma once
 

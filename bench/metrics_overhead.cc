@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "bench/service_driver.h"
 #include "src/eunomia/service.h"
@@ -247,34 +248,22 @@ int Run(bool smoke) {
       on_overhead_1shard * 100.0, noise_floor_1shard * 100.0,
       over_budget ? "(OVER the 2%% budget)" : "(within the 2%% budget)");
 
-  std::FILE* f = std::fopen("BENCH_metrics.json", "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write BENCH_metrics.json\n");
-  } else {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"figure\": \"metrics_overhead\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    std::fprintf(f, "  \"num_partitions\": %u,\n", load.num_partitions);
-    std::fprintf(f, "  \"ops_per_partition\": %llu,\n",
-                 static_cast<unsigned long long>(load.ops_per_partition));
-    std::fprintf(f, "  \"on_overhead_1shard\": %.4f,\n", on_overhead_1shard);
-    std::fprintf(f, "  \"noise_floor_1shard\": %.4f,\n", noise_floor_1shard);
-    std::fprintf(f, "  \"overhead_metric\": \"cpu_time\",\n");
-    std::fprintf(f, "  \"series\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"metrics\": \"%s\", \"shards\": %u, "
-                   "\"mops_per_s\": %.3f, \"cpu_mops_per_s\": %.3f, "
-                   "\"registered_series\": %llu}%s\n",
-                   points[i].config, points[i].shards,
-                   points[i].ops_per_sec / 1e6, points[i].ops_per_cpu_sec / 1e6,
-                   static_cast<unsigned long long>(points[i].series),
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_metrics.json (%zu points)\n", points.size());
+  bench::BenchJson json("metrics_overhead", smoke);
+  json.scalars()
+      .Int("num_partitions", load.num_partitions)
+      .Int("ops_per_partition", load.ops_per_partition)
+      .Num("on_overhead_1shard", on_overhead_1shard, 4)
+      .Num("noise_floor_1shard", noise_floor_1shard, 4)
+      .Str("overhead_metric", "cpu_time");
+  for (const MetricsPoint& point : points) {
+    json.AddRow()
+        .Str("metrics", point.config)
+        .Int("shards", point.shards)
+        .Num("mops_per_s", point.ops_per_sec / 1e6, 3)
+        .Num("cpu_mops_per_s", point.ops_per_cpu_sec / 1e6, 3)
+        .Int("registered_series", point.series);
   }
+  json.Write("BENCH_metrics.json");
   if (!all_converged) {
     std::printf("ERROR: a configuration did not stabilize its load\n");
     return 1;

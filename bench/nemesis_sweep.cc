@@ -31,6 +31,7 @@
 #include <vector>
 #include "src/common/sync.h"
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "src/georep/geo_store.h"
 #include "src/georep/runtime/chaos/nemesis.h"
@@ -297,7 +298,8 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
       }
       writer_ops.fetch_add(1, std::memory_order_relaxed);
       const Key key = static_cast<Key>(c) * 1000 + static_cast<Key>(i % 64);
-      node->ClientUpdate(100 + c, key, "v" + std::to_string(i),
+      node->ClientUpdate(100 + c, key,
+                         std::string("v").append(std::to_string(i)),
                          [issue, i] { (*issue)(i + 1); });
     };
     (*issue)(0);
@@ -459,63 +461,51 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
 
 // --- JSON --------------------------------------------------------------------
 
-void WriteBenchJson(const char* path, bool smoke, const SweepResult& sweep,
-                    double sweep_wall_s, const TcpScenarioResult& tcp) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"figure\": \"nemesis_sweep\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"series\": [\n");
+void WriteBenchJson(bool smoke, const SweepResult& sweep, double sweep_wall_s,
+                    const TcpScenarioResult& tcp) {
+  bench::BenchJson json("nemesis_sweep", smoke);
   const double sweep_rate =
       static_cast<double>(sweep.updates_acked + sweep.reads_done) /
       std::max(sweep_wall_s, 1e-9);
-  std::fprintf(f,
-               "    {\"system\": \"EunomiaKV\", \"workload\": "
-               "\"nemesis-sweep\", \"transport\": \"sim\", \"ops_per_s\": "
-               "%.1f, \"seeds\": %llu, \"violating_seeds\": %zu, "
-               "\"updates_acked\": %llu, \"crashes\": %llu, "
-               "\"payloads_dropped\": %llu, \"durable_seeds\": %llu, "
-               "\"wal_torn_tails\": %llu, \"wal_bit_flips\": %llu, "
-               "\"snapshots\": %llu}%s\n",
-               sweep_rate, static_cast<unsigned long long>(sweep.seeds_run),
-               sweep.violating_seeds.size(),
-               static_cast<unsigned long long>(sweep.updates_acked),
-               static_cast<unsigned long long>(sweep.crashes),
-               static_cast<unsigned long long>(sweep.payloads_dropped),
-               static_cast<unsigned long long>(sweep.durable_seeds),
-               static_cast<unsigned long long>(sweep.wal_torn_tails),
-               static_cast<unsigned long long>(sweep.wal_bit_flips),
-               static_cast<unsigned long long>(sweep.snapshots_taken),
-               tcp.ran ? "," : "");
+  json.AddRow()
+      .Str("system", "EunomiaKV")
+      .Str("workload", "nemesis-sweep")
+      .Str("transport", "sim")
+      .Num("ops_per_s", sweep_rate, 1)
+      .Int("seeds", sweep.seeds_run)
+      .Int("violating_seeds", sweep.violating_seeds.size())
+      .Int("updates_acked", sweep.updates_acked)
+      .Int("crashes", sweep.crashes)
+      .Int("payloads_dropped", sweep.payloads_dropped)
+      .Int("durable_seeds", sweep.durable_seeds)
+      .Int("wal_torn_tails", sweep.wal_torn_tails)
+      .Int("wal_bit_flips", sweep.wal_bit_flips)
+      .Int("snapshots", sweep.snapshots_taken);
   if (tcp.ran) {
-    std::fprintf(f,
-                 "    {\"system\": \"EunomiaKV\", \"workload\": "
-                 "\"peer-death-reconnect\", \"transport\": \"tcp\", "
-                 "\"ops_per_s\": %.1f, \"reconnects\": %llu, \"converged\": "
-                 "%d, \"converge_ms\": %.0f, \"unavail_windows\": %zu, "
-                 "\"max_gap_ms\": %.1f, \"replayed_frames\": %llu}%s\n",
-                 tcp.ops_per_s,
-                 static_cast<unsigned long long>(tcp.reconnects),
-                 tcp.converged ? 1 : 0, tcp.converge_ms, tcp.windows.size(),
-                 tcp.max_gap_ms,
-                 static_cast<unsigned long long>(tcp.replayed_frames),
-                 tcp.windows.empty() ? "" : ",");
-    for (std::size_t i = 0; i < tcp.windows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"system\": \"EunomiaKV\", \"workload\": "
-                   "\"unavail t=%.2fs\", \"transport\": \"tcp\", "
-                   "\"ops_per_s\": 0.0, \"gap_ms\": %.1f}%s\n",
-                   tcp.windows[i].start_s, tcp.windows[i].gap_ms,
-                   i + 1 < tcp.windows.size() ? "," : "");
+    json.AddRow()
+        .Str("system", "EunomiaKV")
+        .Str("workload", "peer-death-reconnect")
+        .Str("transport", "tcp")
+        .Num("ops_per_s", tcp.ops_per_s, 1)
+        .Int("reconnects", tcp.reconnects)
+        .Int("converged", tcp.converged ? 1 : 0)
+        .Num("converge_ms", tcp.converge_ms, 0)
+        .Int("unavail_windows", tcp.windows.size())
+        .Num("max_gap_ms", tcp.max_gap_ms, 1)
+        .Int("replayed_frames", tcp.replayed_frames);
+    for (const UnavailabilityWindow& window : tcp.windows) {
+      char workload[32];
+      std::snprintf(workload, sizeof(workload), "unavail t=%.2fs",
+                    window.start_s);
+      json.AddRow()
+          .Str("system", "EunomiaKV")
+          .Str("workload", workload)
+          .Str("transport", "tcp")
+          .Num("ops_per_s", 0.0, 1)
+          .Num("gap_ms", window.gap_ms, 1);
     }
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+  json.Write("BENCH_nemesis.json");
 }
 
 int Run(const bench::Flags& flags) {
@@ -600,7 +590,7 @@ int Run(const bench::Flags& flags) {
     tcp = RunTcpReconnectScenario(smoke);
     ok = ok && tcp.ok;
   }
-  WriteBenchJson("BENCH_nemesis.json", smoke, sweep, sweep_wall_s, tcp);
+  WriteBenchJson(smoke, sweep, sweep_wall_s, tcp);
   return ok ? 0 : 1;
 }
 

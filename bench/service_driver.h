@@ -19,7 +19,6 @@
 #include "src/clock/hybrid_clock.h"
 #include "src/eunomia/op.h"
 #include "src/eunomia/service.h"
-#include "src/sequencer/sequencer_service.h"
 
 namespace eunomia::bench {
 
@@ -170,30 +169,6 @@ inline double MeasureShardedThroughput(std::uint32_t num_shards,
   options.stable_period_us = stable_period_us;
   EunomiaService service(options);
   return MeasureStabilizedThroughput(service, load);
-}
-
-// Sequencer load: each client thread issues blocking Next() calls flat out.
-template <typename Sequencer>
-std::uint64_t DriveSequencerClients(Sequencer& sequencer, std::uint32_t clients,
-                                    std::uint64_t duration_us) {
-  std::atomic<std::uint64_t> granted{0};
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  const std::uint64_t deadline = NowMicros() + duration_us;
-  for (std::uint32_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&sequencer, &granted, deadline] {
-      std::uint64_t local = 0;
-      while (NowMicros() < deadline) {
-        sequencer.Next();
-        ++local;
-      }
-      granted.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  return granted.load();
 }
 
 }  // namespace eunomia::bench

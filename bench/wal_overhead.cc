@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/flags.h"
 #include "bench/service_driver.h"
 #include "src/eunomia/service.h"
@@ -225,38 +226,24 @@ int Run(bool smoke) {
       interval_overhead_1shard <= 0.15 ? "(within the 15%% budget)"
                                        : "(OVER the 15%% budget)");
 
-  std::FILE* f = std::fopen("BENCH_wal.json", "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not write BENCH_wal.json\n");
-  } else {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"figure\": \"wal_overhead\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-    std::fprintf(f, "  \"num_partitions\": %u,\n", load.num_partitions);
-    std::fprintf(f, "  \"ops_per_partition\": %llu,\n",
-                 static_cast<unsigned long long>(load.ops_per_partition));
-    // interval_overhead_1shard is CPU-normalized — the budget metric. Wall
-    // clock is reported per-point for context but is hostage to neighbor
-    // load on shared single-core hosts.
-    std::fprintf(f, "  \"interval_overhead_1shard\": %.4f,\n",
-                 interval_overhead_1shard);
-    std::fprintf(f, "  \"overhead_metric\": \"cpu_time\",\n");
-    std::fprintf(f, "  \"series\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"wal\": \"%s\", \"shards\": %u, "
-                   "\"mops_per_s\": %.3f, \"cpu_mops_per_s\": %.3f, "
-                   "\"snapshots\": %llu}%s\n",
-                   points[i].config, points[i].shards,
-                   points[i].ops_per_sec / 1e6,
-                   points[i].ops_per_cpu_sec / 1e6,
-                   static_cast<unsigned long long>(points[i].snapshots),
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_wal.json (%zu points)\n", points.size());
+  // interval_overhead_1shard is CPU-normalized — the budget metric. Wall
+  // clock is reported per-point for context but is hostage to neighbor
+  // load on shared single-core hosts.
+  bench::BenchJson json("wal_overhead", smoke);
+  json.scalars()
+      .Int("num_partitions", load.num_partitions)
+      .Int("ops_per_partition", load.ops_per_partition)
+      .Num("interval_overhead_1shard", interval_overhead_1shard, 4)
+      .Str("overhead_metric", "cpu_time");
+  for (const WalPoint& point : points) {
+    json.AddRow()
+        .Str("wal", point.config)
+        .Int("shards", point.shards)
+        .Num("mops_per_s", point.ops_per_sec / 1e6, 3)
+        .Num("cpu_mops_per_s", point.ops_per_cpu_sec / 1e6, 3)
+        .Int("snapshots", point.snapshots);
   }
+  json.Write("BENCH_wal.json");
   if (!all_converged) {
     std::printf("ERROR: a configuration did not stabilize its load\n");
     return 1;
