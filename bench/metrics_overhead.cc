@@ -246,7 +246,7 @@ int Run(bool smoke) {
       "\nsingle-shard metrics-on CPU overhead vs bare: %.1f%% "
       "(measurement noise floor %.1f%%) %s\n",
       on_overhead_1shard * 100.0, noise_floor_1shard * 100.0,
-      over_budget ? "(OVER the 2%% budget)" : "(within the 2%% budget)");
+      over_budget ? "(OVER the 2% budget)" : "(within the 2% budget)");
 
   bench::BenchJson json("metrics_overhead", smoke);
   json.scalars()

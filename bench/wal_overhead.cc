@@ -223,8 +223,8 @@ int Run(bool smoke) {
       "\nsingle-shard fsync=interval CPU overhead vs "
       "in-memory: %.1f%% %s\n",
       interval_overhead_1shard * 100.0,
-      interval_overhead_1shard <= 0.15 ? "(within the 15%% budget)"
-                                       : "(OVER the 15%% budget)");
+      interval_overhead_1shard <= 0.15 ? "(within the 15% budget)"
+                                       : "(OVER the 15% budget)");
 
   // interval_overhead_1shard is CPU-normalized — the budget metric. Wall
   // clock is reported per-point for context but is hostage to neighbor

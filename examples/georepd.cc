@@ -106,13 +106,13 @@ int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions) {
     geo::rt::GeoNode::Options node_options;
     node_options.dc = m;
     node_options.config = config;
-    node_options.detailed_visibility = true;
     // All nodes share the process registry: series are per-dc labeled. A
     // fast mirror tick so the short smoke run sees fresh values.
     node_options.metrics = &metrics::Registry::Default();
     node_options.metrics_interval_us = 50'000;
     nodes.push_back(std::make_unique<geo::rt::GeoNode>(transports.back().get(),
                                                        node_options));
+    nodes.back()->tracker().EnableDetailedLog();
     addresses.push_back(nodes.back()->Listen("127.0.0.1:0"));
     if (addresses.back().empty()) {
       std::fprintf(stderr, "georepd --smoke: dc%u could not bind a port\n", m);

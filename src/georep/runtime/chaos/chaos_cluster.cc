@@ -1,6 +1,5 @@
 #include "src/georep/runtime/chaos/chaos_cluster.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -8,8 +7,7 @@
 namespace eunomia::geo::rt::chaos {
 
 ChaosCluster::ChaosCluster(sim::Simulator* sim, const ChaosOptions& options)
-    : sim_(sim),
-      options_(options),
+    : options_(options),
       tracker_(options.config.timeline_window_us, /*num_datacenters=*/0),
       env_(sim, options.config, options.profile, options.seed),
       clock_rng_(options.seed ^ 0xc10cc10cc10cc10cULL),
@@ -31,6 +29,7 @@ ChaosCluster::ChaosCluster(sim::Simulator* sim, const ChaosOptions& options)
     }
   }
   runtimes_.resize(options_.config.num_dcs);
+  links_.resize(options_.config.num_dcs);
 }
 
 std::vector<PhysicalClock> ChaosCluster::DrawClocks() {
@@ -48,128 +47,83 @@ std::vector<PhysicalClock> ChaosCluster::DrawClocks() {
   return clocks;
 }
 
-std::unique_ptr<DatacenterRuntime> ChaosCluster::MakeRuntime(DatacenterId dc) {
-  return std::make_unique<DatacenterRuntime>(dc, options_.config, &env_,
-                                             &tracker_, &uids_[dc],
-                                             &sessions_[dc], DrawClocks(),
-                                             durability_[dc].get());
+void ChaosCluster::Build(DatacenterId dc) {
+  if (options_.durable) {
+    GeoDurabilityOptions opts;
+    opts.disk = disks_[dc].get();
+    opts.dc = dc;
+    opts.num_dcs = options_.config.num_dcs;
+    opts.partitions = options_.config.partitions_per_dc;
+    opts.fsync = options_.fsync;
+    opts.snapshot_interval_bytes = options_.snapshot_interval_bytes;
+    durability_[dc] = std::make_unique<GeoDurability>(std::move(opts));
+  }
+  runtimes_[dc] = std::make_unique<DatacenterRuntime>(
+      dc, options_.config, &env_, &tracker_, &uids_[dc], &sessions_[dc],
+      DrawClocks(), durability_[dc].get());
+  // Sessions live client-side here, so snapshots carry none.
+  links_[dc] = std::make_unique<PeerLinks>(
+      PeerLinks::Options{}, runtimes_[dc].get(), &env_, &env_,
+      durability_[dc].get(), /*sessions=*/nullptr, /*replayed_frames=*/nullptr);
 }
 
-std::unique_ptr<GeoDurability> ChaosCluster::MakeDurability(DatacenterId dc) {
-  GeoDurabilityOptions opts;
-  opts.disk = disks_[dc].get();
-  opts.dc = dc;
-  opts.num_dcs = options_.config.num_dcs;
-  opts.partitions = options_.config.partitions_per_dc;
-  opts.fsync = options_.fsync;
-  opts.snapshot_interval_bytes = options_.snapshot_interval_bytes;
-  return std::make_unique<GeoDurability>(std::move(opts));
+void ChaosCluster::Boot(DatacenterId dc) {
+  if (options_.durable) {
+    // Before the dials, so the hellos name the recovered frontier (a fresh
+    // disk recovers to an empty world and opens the log writers).
+    durability_[dc]->Recover(runtimes_[dc].get(), /*sessions=*/nullptr);
+  }
+  for (DatacenterId peer = 0; peer < options_.config.num_dcs; ++peer) {
+    if (peer != dc) {
+      links_[dc]->Dial(peer);  // a peer that is down is re-dialed later
+    }
+  }
+  runtimes_[dc]->StartTimers();
+  links_[dc]->Start();
 }
 
 void ChaosCluster::Start() {
   for (DatacenterId dc = 0; dc < options_.config.num_dcs; ++dc) {
-    if (options_.durable) {
-      durability_[dc] = MakeDurability(dc);
-    }
-    runtimes_[dc] = MakeRuntime(dc);
-    env_.RegisterRuntime(dc, runtimes_[dc].get());
-    if (options_.durable) {
-      // A fresh disk recovers to an empty world; the call also opens the
-      // log writers the hooks append to.
-      durability_[dc]->Recover(runtimes_[dc].get(), /*sessions=*/nullptr);
-    }
+    Build(dc);
+    env_.AttachDatacenter(dc, runtimes_[dc].get(), links_[dc].get());
   }
   for (DatacenterId dc = 0; dc < options_.config.num_dcs; ++dc) {
-    runtimes_[dc]->StartTimers();
-    if (options_.durable) {
-      ScheduleSnapshot(dc);
-    }
+    Boot(dc);
   }
 }
 
 void ChaosCluster::Crash(DatacenterId dc) {
-  // Epoch-bump first: every closure capturing the old runtime is fenced
-  // before the object dies.
+  // Epoch-bump first: every closure capturing the old runtime or links is
+  // fenced before the objects die.
   env_.CrashDatacenter(dc);
+  links_[dc].reset();
   runtimes_[dc].reset();
-  if (options_.durable) {
-    // Destroy the writers (their destructors drain queued bytes but never
-    // issue a final sync — kill -9 semantics), then crash the disk: the
-    // un-fsynced suffix dies, possibly leaving a torn or bit-flipped tail.
-    durability_[dc].reset();
-    disks_[dc]->Crash();
+  if (!options_.durable) {
+    // No catch-up source: the links stay nominally up, what the dead
+    // datacenter misses is lost at delivery and restored by Restart's
+    // channel-history replay.
+    return;
   }
+  // The process is gone: its connections close, in-flight frames are lost,
+  // and the peers start re-dialing.
+  for (DatacenterId peer = 0; peer < options_.config.num_dcs; ++peer) {
+    if (peer != dc) {
+      env_.DropLink(dc, peer);
+      env_.DropLink(peer, dc);
+    }
+  }
+  // Destroy the writers (their destructors drain queued bytes but never
+  // issue a final sync — kill -9 semantics), then crash the disk: the
+  // un-fsynced suffix dies, possibly leaving a torn or bit-flipped tail.
+  durability_[dc].reset();
+  disks_[dc]->Crash();
 }
 
 void ChaosCluster::Restart(DatacenterId dc) {
-  if (!options_.durable) {
-    runtimes_[dc] = MakeRuntime(dc);
-    env_.RestartDatacenter(dc, runtimes_[dc].get());
-    runtimes_[dc]->StartTimers();
-    return;
-  }
-  durability_[dc] = MakeDurability(dc);
-  runtimes_[dc] = MakeRuntime(dc);
-  env_.AttachDatacenter(dc, runtimes_[dc].get());
-  durability_[dc]->Recover(runtimes_[dc].get(), /*sessions=*/nullptr);
-  // Incremental catch-up: peer traffic above the recovered applied
-  // frontier (the disk already replayed everything that had arrived).
-  env_.CatchUpDatacenter(dc, runtimes_[dc].get());
-  // Re-fan-out every logged install, partition-major in log order: the
-  // pre-crash fan-out may not have reached every peer; peers dedup.
-  std::vector<std::vector<RemotePayload>> installs(
-      options_.config.partitions_per_dc);
-  InstallCursor cursor = durability_[dc]->ReadInstalls(/*mark=*/0);
-  PartitionId partition = 0;
-  RemotePayload payload;
-  while (!cursor.done()) {
-    if (cursor.Next(&partition, &payload)) {
-      installs[partition].push_back(std::move(payload));
-    }
-  }
-  for (PartitionId p = 0; p < installs.size(); ++p) {
-    for (const RemotePayload& install : installs[p]) {
-      for (DatacenterId k = 0; k < options_.config.num_dcs; ++k) {
-        if (k != dc) {
-          env_.SendPayload(dc, k, p, install);
-        }
-      }
-    }
-  }
-  runtimes_[dc]->StartTimers();
-}
-
-void ChaosCluster::ScheduleSnapshot(DatacenterId dc) {
-  sim_->ScheduleAfter(options_.snapshot_period_us, [this, dc] {
-    if (alive(dc) && durability_[dc] != nullptr &&
-        durability_[dc]->SnapshotDue()) {
-      durability_[dc]->Snapshot(*runtimes_[dc], /*sessions=*/nullptr,
-                                InstallTruncateMark(dc));
-    }
-    ScheduleSnapshot(dc);
-  });
-}
-
-Timestamp ChaosCluster::InstallTruncateMark(DatacenterId dc) const {
-  // An install entry may be dropped only once (a) it has stabilized locally
-  // (nothing left to re-enqueue) and (b) every peer has durably applied it
-  // — under kPerCommit a peer's recovered SiteTime never regresses, so its
-  // live SiteTime is a durable lower bound. With any peer down (its applied
-  // frontier unobservable) or a lazier fsync policy, keep everything.
-  if (options_.fsync != wal::FsyncPolicy::kPerCommit) {
-    return 0;
-  }
-  Timestamp mark = runtimes_[dc]->eunomia().StableTime();
-  for (DatacenterId k = 0; k < options_.config.num_dcs; ++k) {
-    if (k == dc) {
-      continue;
-    }
-    if (!alive(k)) {
-      return 0;
-    }
-    mark = std::min(mark, runtimes_[k]->receiver().site_time()[dc]);
-  }
-  return mark;
+  Build(dc);
+  env_.RestartDatacenter(dc, runtimes_[dc].get(), links_[dc].get(),
+                         /*replay=*/!options_.durable);
+  Boot(dc);
 }
 
 }  // namespace eunomia::geo::rt::chaos

@@ -1,26 +1,19 @@
 // A simulated EunomiaKV deployment wired to the fault-injecting environment,
 // with crash/restart lifecycle management.
 //
-// The cluster owns everything that must SURVIVE a datacenter crash — the
-// per-DC uid allocators (a restarted datacenter must not re-issue uids of
-// its previous incarnation; the strided stream is the durable-allocation
-// stand-in), the client session maps (VClock_c is client-side state in the
-// paper, so a server crash does not reset it), the shared visibility
-// tracker (the observer, not part of the system under test), and, in
-// durable mode, one fault-injecting in-memory disk per datacenter — while
-// the DatacenterRuntime objects themselves are disposable: Crash() destroys
-// one outright, Restart() builds a fresh one with newly drawn clock skew.
+// The cluster owns what must SURVIVE a crash — the per-DC uid allocators,
+// the client session maps (VClock_c is client-side state in the paper), the
+// visibility tracker (the observer) and, durable, one fault-injecting disk
+// per datacenter. Each datacenter's DatacenterRuntime and PeerLinks are
+// disposable: Crash() destroys them, Restart() builds fresh ones with newly
+// drawn clock skew.
 //
-// Two recovery modes:
-//   - durable=false: the environment replays its full channel histories
-//     into the fresh runtime (the WAL-less stand-in).
-//   - durable=true: each runtime writes a real WAL + snapshots through
-//     GeoDurability onto a wal::FaultyDisk that survives the crash (losing
-//     its unsynced suffix, possibly torn or bit-flipped). Restart recovers
-//     from the disk, then the environment provides only the *incremental*
-//     catch-up — peer traffic above the recovered applied frontier — plus
-//     the re-fan-out of the payloads in its install WAL, the same records a
-//     real node's WAL catch-up replays.
+// Recovery: WAL-less (durable=false), the environment replays its channel
+// histories into the fresh runtime. Durable, each runtime logs through
+// GeoDurability onto a wal::FaultyDisk that survives the crash minus its
+// unsynced suffix; a crash closes every link to and from the datacenter,
+// Restart recovers from the disk and re-dials, and the peers' PeerLinks,
+// re-dialing on backoff, catch it up from their install WALs.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +25,7 @@
 #include "src/georep/runtime/chaos/faulty_env.h"
 #include "src/georep/runtime/datacenter_runtime.h"
 #include "src/georep/runtime/durability.h"
+#include "src/georep/runtime/peer_links.h"
 #include "src/georep/visibility.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
@@ -43,13 +37,11 @@ struct ChaosOptions {
   GeoConfig config;
   FaultProfile profile;
   std::uint64_t seed = 1;
-  // Durable mode (see file comment). The RYW-across-crash invariant is only
-  // sound under kPerCommit: with a lazier policy an acknowledged write may
-  // legitimately die with the unsynced log tail.
+  // Durable mode (see file comment). Read-your-writes across a crash holds
+  // only under kPerCommit: a lazier policy may lose an acknowledged write.
   bool durable = false;
   wal::FaultyDisk::Faults disk_faults;
   wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
-  std::uint64_t snapshot_period_us = 250'000;
   std::uint64_t snapshot_interval_bytes = 16u << 10;
 };
 
@@ -57,19 +49,16 @@ class ChaosCluster {
  public:
   ChaosCluster(sim::Simulator* sim, const ChaosOptions& options);
 
-  // Creates every datacenter runtime and starts its timers. Call once.
+  // Creates every datacenter and starts it. Call once.
   void Start();
 
   // Kills a datacenter: the environment drops everything in flight to or
-  // scheduled by it, then the runtime object is destroyed. All volatile
-  // state (stores, Eunomia buffers, receiver queues, parked payloads,
-  // un-fsynced log bytes) is lost; in durable mode the disk keeps its
-  // synced prefix plus a possibly-torn fragment of the unsynced suffix.
+  // scheduled by it, then its runtime and links are destroyed with all
+  // volatile state; in durable mode the disk keeps its synced prefix plus a
+  // possibly-torn fragment of the unsynced suffix.
   void Crash(DatacenterId dc);
 
-  // Boots a fresh runtime for a crashed datacenter — new clock skew drawn,
-  // state recovered from its disk (durable mode) or rebuilt by the
-  // environment's replay — and starts its timers.
+  // Reboots a crashed datacenter with new clock skew (see file comment).
   void Restart(DatacenterId dc);
 
   bool alive(DatacenterId dc) const { return env_.alive(dc); }
@@ -82,9 +71,9 @@ class ChaosCluster {
   VisibilityTracker& tracker() { return tracker_; }
   const VisibilityTracker& tracker() const { return tracker_; }
   const GeoConfig& config() const { return options_.config; }
-  bool durable() const { return options_.durable; }
   wal::FaultyDisk* disk(DatacenterId dc) { return disks_[dc].get(); }
   GeoDurability* durability(DatacenterId dc) { return durability_[dc].get(); }
+  const PeerLinks* links(DatacenterId dc) const { return links_[dc].get(); }
 
   // Largest absolute clock error any partition clock has carried so far
   // (drawn skews plus injected steps) — feeds the staleness bound.
@@ -97,15 +86,12 @@ class ChaosCluster {
 
  private:
   std::vector<PhysicalClock> DrawClocks();
-  std::unique_ptr<DatacenterRuntime> MakeRuntime(DatacenterId dc);
-  std::unique_ptr<GeoDurability> MakeDurability(DatacenterId dc);
-  // Recurring per-DC snapshot event (durable mode): snapshot when enough
-  // log bytes accumulated, truncating installs up to the frontier every
-  // peer has durably applied.
-  void ScheduleSnapshot(DatacenterId dc);
-  Timestamp InstallTruncateMark(DatacenterId dc) const;
+  // Builds dc's durability (durable mode), runtime and links.
+  void Build(DatacenterId dc);
+  // Recovers dc from its disk (durable mode), dials every peer and starts
+  // the runtime's timers and the links.
+  void Boot(DatacenterId dc);
 
-  sim::Simulator* const sim_;
   const ChaosOptions options_;
   VisibilityTracker tracker_;
   FaultyGeoEnvironment env_;
@@ -115,6 +101,7 @@ class ChaosCluster {
   std::vector<std::unique_ptr<wal::FaultyDisk>> disks_;  // survive crashes
   std::vector<std::unique_ptr<GeoDurability>> durability_;
   std::vector<std::unique_ptr<DatacenterRuntime>> runtimes_;
+  std::vector<std::unique_ptr<PeerLinks>> links_;  // after runtimes_
   std::int64_t max_clock_error_us_ = 0;
 };
 

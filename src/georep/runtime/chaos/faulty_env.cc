@@ -4,6 +4,8 @@
 
 namespace eunomia::geo::rt::chaos {
 
+namespace nw = ::eunomia::net::wire;
+
 FaultyGeoEnvironment::FaultyGeoEnvironment(sim::Simulator* sim,
                                            const GeoConfig& config,
                                            const FaultProfile& profile,
@@ -16,7 +18,9 @@ FaultyGeoEnvironment::FaultyGeoEnvironment(sim::Simulator* sim,
       payload_history_(static_cast<std::size_t>(config.num_dcs) *
                        config.num_dcs),
       meta_history_(static_cast<std::size_t>(config.num_dcs) *
-                    config.num_dcs) {}
+                    config.num_dcs),
+      links_(static_cast<std::size_t>(config.num_dcs) * config.num_dcs),
+      peer_links_(config.num_dcs, nullptr) {}
 
 std::function<void()> FaultyGeoEnvironment::Gate(DatacenterId dc,
                                                  std::function<void()> fn) {
@@ -27,26 +31,35 @@ std::function<void()> FaultyGeoEnvironment::Gate(DatacenterId dc,
   };
 }
 
+void FaultyGeoEnvironment::AttachDatacenter(DatacenterId dc,
+                                            DatacenterRuntime* runtime,
+                                            PeerLinks* links) {
+  RegisterRuntime(dc, runtime);
+  peer_links_[dc] = links;
+}
+
 void FaultyGeoEnvironment::CrashDatacenter(DatacenterId dc) {
   ++epoch_[dc];
-  RegisterRuntime(dc, nullptr);
+  AttachDatacenter(dc, nullptr, nullptr);
   ++stats_.crashes;
 }
 
 void FaultyGeoEnvironment::RestartDatacenter(DatacenterId dc,
-                                             DatacenterRuntime* runtime) {
-  RegisterRuntime(dc, runtime);
-  // (1) Own installs, in original (per-partition timestamp) order: restores
-  // the store, re-primes hybrid clocks, and re-enqueues every op for
-  // stabilization + re-shipping (peers dedup the already-applied suffix).
+                                             DatacenterRuntime* runtime,
+                                             PeerLinks* links, bool replay) {
+  AttachDatacenter(dc, runtime, links);
+  ++stats_.restarts;
+  if (!replay) {
+    return;
+  }
+  // (1) Own installs, in per-partition timestamp order as
+  // RestoreLocalUpdate requires (peers dedup what gets re-shipped).
   for (const InstallRecord& rec : install_log_[dc]) {
     runtime->RestoreLocalUpdate(rec.partition, rec.payload);
   }
   // (2) Inbound payloads, then (3) inbound ordered metadata, per origin in
-  // channel FIFO order — the receiver re-applies everything from scratch.
-  // Messages still in flight toward this datacenter are deliberately NOT
-  // cancelled: the replay already covers them, so their late arrival is a
-  // duplicate suffix exercising the dedup paths.
+  // FIFO order. Messages still in flight here are deliberately NOT
+  // cancelled: their late arrival is a duplicate suffix for the dedup paths.
   for (DatacenterId origin = 0; origin < config_.num_dcs; ++origin) {
     if (origin == dc) {
       continue;
@@ -64,54 +77,121 @@ void FaultyGeoEnvironment::RestartDatacenter(DatacenterId dc,
       runtime->OnRemoteMetadata(batch);
     }
   }
-  ++stats_.restarts;
 }
 
-void FaultyGeoEnvironment::AttachDatacenter(DatacenterId dc,
-                                            DatacenterRuntime* runtime) {
-  RegisterRuntime(dc, runtime);
-  ++stats_.restarts;
+void FaultyGeoEnvironment::DropLink(DatacenterId from, DatacenterId to) {
+  stats_.links_dropped += links_[Idx(from, to)].up ? 1 : 0;
+  Close(from, to);
+  if (peer_links_[from] != nullptr) {
+    peer_links_[from]->OnLinkDown(to);
+  }
 }
 
-void FaultyGeoEnvironment::CatchUpDatacenter(DatacenterId dc,
-                                             DatacenterRuntime* runtime) {
-  // Snapshot the recovered frontier before replay: applying metadata below
-  // advances SiteTime, and the filter must stay anchored to what the disk
-  // restored. An update is already covered by the disk iff its origin
-  // component is <= the recovered SiteTime for that origin (metadata is
-  // logged before processing, so SiteTime never runs ahead of the log).
-  const VectorTimestamp frontier = runtime->receiver().site_time();
-  for (DatacenterId origin = 0; origin < config_.num_dcs; ++origin) {
-    if (origin == dc) {
-      continue;
-    }
-    for (const InstallRecord& rec : payload_history_[Idx(origin, dc)]) {
-      if (rec.payload.vts[origin] > frontier[origin]) {
-        runtime->OnPayload(rec.partition, rec.payload);
-      }
-    }
+bool FaultyGeoEnvironment::Dial(DatacenterId from, DatacenterId to,
+                                wire::GeoHelloMsg hello) {
+  PeerLinks* acceptor = peer_links_[to];
+  if (acceptor == nullptr) {
+    return false;  // nobody listening
   }
-  for (DatacenterId origin = 0; origin < config_.num_dcs; ++origin) {
-    if (origin == dc) {
-      continue;
+  // The handshake completes inside the dial: the acceptor validates both
+  // hellos before any frame of the new links can arrive.
+  SimLink& link = links_[Idx(from, to)];
+  link.metadata = link.payloads = PeerLinks::Inbound{};
+  hello.link_kind = wire::kMetadataLink;
+  const std::string metadata_hello = wire::EncodeGeoHello(hello);
+  hello.link_kind = wire::kPayloadLink;
+  link.up = acceptor->OnFrame(&link.metadata, nw::MsgType::kGeoHello,
+                              metadata_hello) &&
+            acceptor->OnFrame(&link.payloads, nw::MsgType::kGeoHello,
+                              wire::EncodeGeoHello(hello));
+  return link.up;
+}
+
+void FaultyGeoEnvironment::Close(DatacenterId from, DatacenterId to) {
+  SimLink& link = links_[Idx(from, to)];
+  link.up = false;
+  ++link.epoch;
+}
+
+std::function<void()> FaultyGeoEnvironment::Delivery(DatacenterId from,
+                                                     DatacenterId to,
+                                                     nw::MsgType type,
+                                                     std::string frame) {
+  return [this, from, to, epoch = links_[Idx(from, to)].epoch, type,
+          frame = std::move(frame)] {
+    SimLink& link = links_[Idx(from, to)];
+    PeerLinks* receiver = peer_links_[to];
+    // Lost if the link was closed or the receiver is down meanwhile; a
+    // protocol violation closes the connection.
+    if (link.epoch == epoch && receiver != nullptr &&
+        !receiver->OnFrame(
+            type == nw::MsgType::kGeoPayload ? &link.payloads : &link.metadata,
+            type, frame)) {
+      DropLink(from, to);
     }
-    for (const std::vector<RemoteUpdate>& batch :
-         meta_history_[Idx(origin, dc)]) {
-      bool fresh = false;
-      for (const RemoteUpdate& u : batch) {
-        if (u.vts[u.origin] > frontier[u.origin]) {
-          fresh = true;
-          break;
-        }
-      }
-      // Skipping an all-stale batch is safe (nothing in it can apply), and
-      // delivering a batch with a stale prefix is safe too: the receiver's
-      // per-update dedup absorbs the overlap.
-      if (fresh) {
-        runtime->OnRemoteMetadata(batch);
-      }
-    }
+  };
+}
+
+bool FaultyGeoEnvironment::SendOnMetadataLink(DatacenterId from,
+                                              DatacenterId to,
+                                              nw::MsgType type,
+                                              std::string frame) {
+  if (!links_[Idx(from, to)].up) {
+    return false;
   }
+  // Through the receiver node's FCFS queue, charged per update, so a frame
+  // takes effect only after the one preceding it on the FIFO link.
+  const std::uint64_t cost =
+      config_.costs.receiver_op_us *
+          (frame.size() / wire::RemoteUpdateWireBytes(config_.num_dcs)) +
+      1;
+  const auto send = [this, from, to, cost,
+                     deliver = Delivery(from, to, type, std::move(frame))] {
+    network_.Send(dcs_[from].eunomia_endpoint, dcs_[to].receiver_endpoint,
+                  [this, to, cost, deliver] {
+                    dcs_[to].receiver_server->Submit(cost, deliver);
+                  });
+  };
+  send();
+  if (type == nw::MsgType::kGeoMetaBatch &&
+      rng_.NextBool(profile_.metadata_dup)) {
+    send();  // adjacent duplicate: order preserved, receivers dedup it
+  }
+  return true;
+}
+
+bool FaultyGeoEnvironment::SendOnPayloadLink(DatacenterId from,
+                                             DatacenterId to,
+                                             PartitionId partition,
+                                             std::string frame) {
+  if (!links_[Idx(from, to)].up) {
+    return false;
+  }
+  const auto send = [this, from, to, partition,
+                     deliver = Delivery(from, to, nw::MsgType::kGeoPayload,
+                                        std::move(frame))] {
+    network_.Send(dcs_[from].partition_endpoints[partition],
+                  dcs_[to].partition_endpoints[partition], deliver);
+  };
+  if (rng_.NextBool(profile_.payload_drop)) {
+    // Benign loss on the unordered link: at-least-once re-ship later.
+    ++stats_.payloads_dropped;
+    sim_->ScheduleAfter(profile_.reship_delay_us +
+                            rng_.NextBounded(profile_.reship_delay_us + 1),
+                        send);
+    return true;
+  }
+  if (rng_.NextBool(profile_.payload_delay)) {
+    sim_->ScheduleAfter(1 + rng_.NextBounded(profile_.payload_delay_max_us),
+                        send);
+  } else {
+    send();
+  }
+  if (rng_.NextBool(profile_.payload_dup)) {
+    sim_->ScheduleAfter(1 + rng_.NextBounded(profile_.payload_delay_max_us),
+                        send);
+  }
+  return true;
 }
 
 void FaultyGeoEnvironment::SetWanDelay(DatacenterId from, DatacenterId to,
@@ -124,65 +204,6 @@ void FaultyGeoEnvironment::SetWanDelay(DatacenterId from, DatacenterId to,
   }
 }
 
-void FaultyGeoEnvironment::ScheduleAfter(DatacenterId dc,
-                                         std::uint64_t delay_us,
-                                         std::function<void()> fn) {
-  SimGeoEnvironment::ScheduleAfter(dc, delay_us, Gate(dc, std::move(fn)));
-}
-
-void FaultyGeoEnvironment::ClientHop(DatacenterId dc,
-                                     std::function<void()> fn) {
-  SimGeoEnvironment::ClientHop(dc, Gate(dc, std::move(fn)));
-}
-
-void FaultyGeoEnvironment::RunOnPartition(DatacenterId dc,
-                                          PartitionId partition,
-                                          std::uint64_t cost_us, bool priority,
-                                          std::function<void()> fn) {
-  SimGeoEnvironment::RunOnPartition(dc, partition, cost_us, priority,
-                                    Gate(dc, std::move(fn)));
-}
-
-void FaultyGeoEnvironment::SendApply(DatacenterId dc, PartitionId partition,
-                                     std::function<void()> fn) {
-  SimGeoEnvironment::SendApply(dc, partition, Gate(dc, std::move(fn)));
-}
-
-// Intra-DC FIFO links, re-implemented from the base class with epoch gating
-// at both the network-delivery and server-completion hops. The gating is
-// what kills the restart race: a heartbeat or batch from the pre-crash
-// incarnation carries timestamps AHEAD of the restored batcher's replayed
-// ops, and if it reached the fresh EunomiaCore first the replayed ops would
-// be discarded as non-monotone — silently losing acknowledged updates. A
-// rebooting node's intra-process queues do not survive reboot; neither do
-// these.
-void FaultyGeoEnvironment::SendMetadataBatch(DatacenterId dc,
-                                             PartitionId partition,
-                                             std::vector<OpRecord> batch) {
-  network_.Send(dcs_[dc].partition_endpoints[partition],
-                dcs_[dc].eunomia_endpoint,
-                Gate(dc, [this, dc, batch = std::move(batch)] {
-                  const std::uint64_t cost =
-                      config_.costs.eunomia_op_us * batch.size() + 1;
-                  dcs_[dc].eunomia_server->Submit(
-                      cost, Gate(dc, [this, dc, batch] {
-                        runtimes_[dc]->OnMetadataBatch(batch);
-                      }));
-                }));
-}
-
-void FaultyGeoEnvironment::SendHeartbeat(DatacenterId dc, PartitionId partition,
-                                         Timestamp ts) {
-  network_.Send(dcs_[dc].partition_endpoints[partition],
-                dcs_[dc].eunomia_endpoint,
-                Gate(dc, [this, dc, partition, ts] {
-                  dcs_[dc].eunomia_server->Submit(
-                      1, Gate(dc, [this, dc, partition, ts] {
-                        runtimes_[dc]->OnHeartbeat(partition, ts);
-                      }));
-                }));
-}
-
 void FaultyGeoEnvironment::SendRemoteMetadata(DatacenterId from,
                                               DatacenterId to,
                                               std::vector<RemoteUpdate> batch) {
@@ -193,12 +214,12 @@ void FaultyGeoEnvironment::SendRemoteMetadata(DatacenterId from,
     ++stats_.plants_fired;
     return;
   }
+  meta_history_[Idx(from, to)].push_back(batch);
   if (profile_.plant == Plant::kReorderMetadata &&
       rng_.NextBool(profile_.plant_probability)) {
-    // Bug: bypass the FIFO channel with a direct low-latency delivery, so
-    // this batch can overtake earlier ones still in flight.
+    // Bug: bypass the FIFO link with a direct low-latency delivery, so this
+    // batch can overtake earlier ones still in flight.
     ++stats_.plants_fired;
-    meta_history_[Idx(from, to)].push_back(batch);
     const std::uint64_t delay = 1 + rng_.NextBounded(5'000);
     sim_->ScheduleAfter(delay, [this, to, batch = std::move(batch)] {
       if (runtimes_[to] != nullptr) {
@@ -207,15 +228,12 @@ void FaultyGeoEnvironment::SendRemoteMetadata(DatacenterId from,
     });
     return;
   }
-  meta_history_[Idx(from, to)].push_back(batch);
-  const bool duplicate = rng_.NextBool(profile_.metadata_dup);
-  SimGeoEnvironment::SendRemoteMetadata(from, to, batch);
-  if (duplicate) {
-    // Adjacent duplicate on the same FIFO channel: order preserved, the
-    // receiver's SiteTime dedup must absorb the repeat.
-    ++stats_.metadata_duplicated;
-    SimGeoEnvironment::SendRemoteMetadata(from, to, std::move(batch));
-  }
+  peer_links_[from]->SendRemoteMetadata(to, batch);
+}
+
+void FaultyGeoEnvironment::SendFrontier(DatacenterId from, DatacenterId to,
+                                        Timestamp frontier) {
+  peer_links_[from]->SendFrontier(to, frontier);
 }
 
 void FaultyGeoEnvironment::SendPayload(DatacenterId from, DatacenterId to,
@@ -235,32 +253,7 @@ void FaultyGeoEnvironment::SendPayload(DatacenterId from, DatacenterId to,
     return;
   }
   payload_history_[Idx(from, to)].push_back({partition, payload});
-  if (rng_.NextBool(profile_.payload_drop)) {
-    // Benign loss on the unordered channel: at-least-once re-ship later.
-    ++stats_.payloads_dropped;
-    const std::uint64_t delay =
-        profile_.reship_delay_us + rng_.NextBounded(profile_.reship_delay_us + 1);
-    sim_->ScheduleAfter(delay, [this, from, to, partition, payload] {
-      SimGeoEnvironment::SendPayload(from, to, partition, payload);
-    });
-    return;
-  }
-  if (rng_.NextBool(profile_.payload_delay)) {
-    ++stats_.payloads_delayed;
-    const std::uint64_t delay = 1 + rng_.NextBounded(profile_.payload_delay_max_us);
-    sim_->ScheduleAfter(delay, [this, from, to, partition, payload] {
-      SimGeoEnvironment::SendPayload(from, to, partition, payload);
-    });
-  } else {
-    SimGeoEnvironment::SendPayload(from, to, partition, payload);
-  }
-  if (rng_.NextBool(profile_.payload_dup)) {
-    ++stats_.payloads_duplicated;
-    const std::uint64_t delay = 1 + rng_.NextBounded(profile_.payload_delay_max_us);
-    sim_->ScheduleAfter(delay, [this, from, to, partition, payload] {
-      SimGeoEnvironment::SendPayload(from, to, partition, payload);
-    });
-  }
+  peer_links_[from]->SendPayload(to, partition, std::move(payload));
 }
 
 }  // namespace eunomia::geo::rt::chaos

@@ -1,49 +1,45 @@
-// Fault-injecting simulator binding of the geo-runtime Environment.
+// Fault-injecting simulator binding of the geo-runtime Environment and of
+// the PeerLinks link seam.
 //
-// FoundationDB-style deterministic chaos: the real EunomiaKV protocol runs
-// unmodified on top of this environment while every hazard the deployment
-// assumptions permit is injected from a single PRNG seed — payload loss
-// (with at-least-once re-ship), payload duplication and delay, metadata
-// duplication, WAN link degradation that heals (hold-and-flush, so the FIFO
-// contract of §3.1/§4 is never silently violated), whole-datacenter crash
-// with total state loss and replay-driven restart, per-partition clock
-// steps, and stragglers. Faults that the protocol is NOT expected to
-// survive (true payload loss, metadata loss, metadata reordering) are
-// available as deliberate "plants": intentionally introduced bugs the
-// invariant checker must catch, proving the harness has teeth.
+// FoundationDB-style deterministic chaos: the real EunomiaKV protocol and
+// peer-link state machine run unmodified on top of this environment while
+// every hazard the deployment assumptions permit is injected from a single
+// PRNG seed: payload loss (with at-least-once re-ship), duplication and
+// delay, metadata duplication, WAN degradation that heals (hold-and-flush,
+// so the FIFO contract of §3.1/§4 holds), link drops that lose the frames
+// in flight, whole-datacenter crashes, clock steps and stragglers. Faults
+// the protocol is NOT expected to survive (true payload loss, metadata loss
+// or reordering) are deliberate "plants" the invariant checker must catch.
 //
-// Fault taxonomy vs the Environment contract:
-//   - SendPayload is unordered (§5), so the payload channel may drop (then
-//     re-ship), duplicate and delay freely — the protocol's payload/metadata
-//     separation must absorb all of it.
-//   - SendMetadataBatch / SendHeartbeat / SendRemoteMetadata / SendFrontier
-//     are FIFO per directed channel; the only benign faults injected there
-//     are adjacent duplication (FIFO-preserving; receivers must dedup) and
-//     extra channel delay (sim::Network clamps delivery order). Loss and
-//     reordering on these channels are plants, never benign faults.
-//   - Crash: every in-flight message toward the datacenter and every timer,
-//     hop or server task it had scheduled dies with it (per-DC epoch
-//     gating); its entire runtime state is discarded.
-//   - Restart: the environment replays, in order, (1) the datacenter's own
-//     install log (the durable-WAL stand-in until ROADMAP item 2 lands),
-//     (2) inbound payload history per origin, (3) inbound metadata history
-//     per origin (FIFO). Remote receivers dedup the suffix the restarted
-//     Eunomia re-stabilizes and re-ships.
+// Links: a directed pair's metadata link is the FIFO channel Eunomia ->
+// remote receiver, its payload link the channels between sibling
+// partitions. A dial succeeds iff the peer is up, which accepts both hellos
+// inside it; a frame reaches the peer's PeerLinks only if its link was not
+// closed meanwhile. Benign faults respect each link's contract: the payload
+// link (§5, unordered) may drop-then-re-ship, duplicate and delay; the FIFO
+// channels only duplicate adjacently and delay (sim::Network keeps order).
+//
+// Crash: every in-flight message toward the datacenter and every closure it
+// had scheduled dies with it (per-DC epoch gating). Restart: a durable
+// datacenter recovers from its disk and its peers' PeerLinks catch it up; a
+// WAL-less one has no catch-up source, so the environment replays its own
+// install log, then its inbound payload and metadata histories.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/georep/runtime/peer_links.h"
 #include "src/georep/runtime/sim_env.h"
 
 namespace eunomia::geo::rt::chaos {
 
-// A deliberately introduced protocol-breaking bug. The nemesis sweep's
-// --plant / --expect-violation mode asserts that at least one seed catches
-// it and that the printed seed reproduces the violation by itself.
+// A deliberately introduced protocol-breaking bug: the nemesis sweep's
+// --expect-violation mode asserts some seed catches it, reproducibly.
 enum class Plant {
   kNone,
   kDropPayload,      // payload silently never shipped (no re-ship)
@@ -67,18 +63,15 @@ struct FaultProfile {
 
 struct FaultStats {
   std::uint64_t payloads_dropped = 0;  // benign: re-shipped later
-  std::uint64_t payloads_duplicated = 0;
-  std::uint64_t payloads_delayed = 0;
-  std::uint64_t metadata_duplicated = 0;
   std::uint64_t plants_fired = 0;
   std::uint64_t crashes = 0;
   std::uint64_t restarts = 0;
+  std::uint64_t links_dropped = 0;  // directed pairs, crashes' included
 };
 
-class FaultyGeoEnvironment : public SimGeoEnvironment {
+class FaultyGeoEnvironment : public SimGeoEnvironment, public LinkSeam {
  public:
-  // One update as the origin datacenter durably installed it; the per-DC
-  // sequence of these is the crash-recovery oracle and replay source.
+  // One update as its origin installed it (the oracle and replay source).
   struct InstallRecord {
     PartitionId partition = 0;
     RemotePayload payload;
@@ -88,30 +81,20 @@ class FaultyGeoEnvironment : public SimGeoEnvironment {
                        const FaultProfile& profile, std::uint64_t seed);
 
   // --- fault controls --------------------------------------------------------
-  // Detaches the runtime and advances the datacenter's epoch: every closure
-  // it had in flight (timers, hops, server tasks, intra-DC deliveries) is
-  // dropped when it fires, and inbound messages are lost until restart. The
-  // old runtime object may be destroyed immediately afterwards — nothing
-  // gated can touch it again.
+  // Attaches a datacenter's runtime and its PeerLinks.
+  void AttachDatacenter(DatacenterId dc, DatacenterRuntime* runtime,
+                        PeerLinks* links);
+  // Detaches both and advances the datacenter's epoch: every closure it had
+  // in flight is dropped when it fires, and inbound messages are lost until
+  // restart. The old objects may be destroyed immediately afterwards.
   void CrashDatacenter(DatacenterId dc);
-  // Attaches a fresh runtime and replays its world: own install log (call
-  // order = timestamp order per partition, as required by
-  // DatacenterRuntime::RestoreLocalUpdate), then inbound payloads, then
-  // inbound ordered metadata per origin. The caller starts timers after.
-  void RestartDatacenter(DatacenterId dc, DatacenterRuntime* runtime);
-  // Durable-mode restart: attaches the runtime WITHOUT any environment
-  // replay — the runtime recovered its own state from a (simulated) disk
-  // (GeoDurability::Recover). The environment's channel histories stay the
-  // convergence oracle but are no longer the recovery mechanism.
-  void AttachDatacenter(DatacenterId dc, DatacenterRuntime* runtime);
-  // Durable-mode catch-up: delivers only the peer traffic ABOVE the
-  // runtime's recovered applied frontier (its receiver SiteTime) — inbound
-  // payloads first, then ordered metadata, per origin in channel FIFO
-  // order. This models sender-side retransmission from the last
-  // acknowledged point, which is exactly what GeoNode's WAL catch-up
-  // provides on reconnect; full-history replay would work too (the
-  // receiver dedups) but would defeat the purpose of recovering from disk.
-  void CatchUpDatacenter(DatacenterId dc, DatacenterRuntime* runtime);
+  // Attaches a rebooted datacenter; `replay` (WAL-less) replays its world
+  // as the file comment says. The caller starts timers after.
+  void RestartDatacenter(DatacenterId dc, DatacenterRuntime* runtime,
+                         PeerLinks* links, bool replay);
+  // Closes the links `from` -> `to`: frames in flight on them are lost, and
+  // `from`'s PeerLinks (if attached) learns the links went down.
+  void DropLink(DatacenterId from, DatacenterId to);
   // Degrades (extra_us > 0) or heals (extra_us = 0) every WAN channel from
   // `from` to `to` — ordered metadata/frontier and all payload channels.
   // Extra delay holds messages back but preserves FIFO (hold-and-flush), so
@@ -121,39 +104,50 @@ class FaultyGeoEnvironment : public SimGeoEnvironment {
   bool alive(DatacenterId dc) const { return runtimes_[dc] != nullptr; }
   std::uint64_t epoch(DatacenterId dc) const { return epoch_[dc]; }
   const FaultStats& stats() const { return stats_; }
-  // Every update ever installed at `origin`, in install order — the
-  // convergence oracle.
+  // Every update ever installed at `origin`, in install order.
   const std::vector<InstallRecord>& install_log(DatacenterId origin) const {
     return install_log_[origin];
   }
 
-  // --- Environment overrides -------------------------------------------------
-  void ScheduleAfter(DatacenterId dc, std::uint64_t delay_us,
-                     std::function<void()> fn) override;
-  void ClientHop(DatacenterId dc, std::function<void()> fn) override;
-  void RunOnPartition(DatacenterId dc, PartitionId partition,
-                      std::uint64_t cost_us, bool priority,
-                      std::function<void()> fn) override;
-  void SendMetadataBatch(DatacenterId dc, PartitionId partition,
-                         std::vector<OpRecord> batch) override;
-  void SendHeartbeat(DatacenterId dc, PartitionId partition,
-                     Timestamp ts) override;
+  // --- Environment: the WAN sends record the message (install log, replay
+  // histories), then hand it to the sender's PeerLinks ----------------------
   void SendRemoteMetadata(DatacenterId from, DatacenterId to,
                           std::vector<RemoteUpdate> batch) override;
+  void SendFrontier(DatacenterId from, DatacenterId to,
+                    Timestamp frontier) override;
   void SendPayload(DatacenterId from, DatacenterId to, PartitionId partition,
                    RemotePayload payload) override;
-  void SendApply(DatacenterId dc, PartitionId partition,
-                 std::function<void()> fn) override;
-  // SendFrontier and ChargeEunomia are inherited unchanged: the frontier
-  // beacon rides the same FIFO channel as ordered metadata (base class) and
-  // the receiver ignores regressions, so no extra machinery is needed.
+
+  // --- LinkSeam (every datacenter's PeerLinks sends through it) -------------
+  bool Dial(DatacenterId from, DatacenterId to,
+            wire::GeoHelloMsg hello) override;
+  bool SendOnMetadataLink(DatacenterId from, DatacenterId to,
+                          net::wire::MsgType type, std::string frame) override;
+  bool SendOnPayloadLink(DatacenterId from, DatacenterId to,
+                         PartitionId partition, std::string frame) override;
+  void Close(DatacenterId from, DatacenterId to) override;
 
  private:
-  // Wraps a closure so it runs only if datacenter `dc` has not crashed
-  // since the wrap (epoch snapshot) and a runtime is attached. This is what
-  // makes destroying a crashed runtime safe: every closure that captured it
-  // is fenced here.
-  std::function<void()> Gate(DatacenterId dc, std::function<void()> fn);
+  // One directed pair's metadata + payload links.
+  struct SimLink {
+    bool up = false;
+    std::uint64_t epoch = 0;  // Close bumps it: older frames are lost
+    PeerLinks::Inbound metadata;  // the receiving side's connection state
+    PeerLinks::Inbound payloads;
+  };
+
+  // The closure that hands `frame` to the receiving PeerLinks.
+  std::function<void()> Delivery(DatacenterId from, DatacenterId to,
+                                 net::wire::MsgType type, std::string frame);
+
+  // Runs the closure only if datacenter `dc` has not crashed since the
+  // wrap and a runtime is attached — what makes destroying a crashed runtime
+  // safe. It also kills the restart race: a pre-crash heartbeat or batch
+  // carries timestamps AHEAD of the restored batcher's replayed ops, and
+  // reaching the fresh EunomiaCore first it would get them discarded as
+  // non-monotone — silently losing acknowledged updates.
+  std::function<void()> Gate(DatacenterId dc,
+                             std::function<void()> fn) override;
 
   std::size_t Idx(DatacenterId from, DatacenterId to) const {
     return static_cast<std::size_t>(from) * config_.num_dcs + to;
@@ -168,6 +162,8 @@ class FaultyGeoEnvironment : public SimGeoEnvironment {
   // Channel histories for restart replay, indexed [from * num_dcs + to].
   std::vector<std::vector<InstallRecord>> payload_history_;
   std::vector<std::vector<std::vector<RemoteUpdate>>> meta_history_;
+  std::vector<SimLink> links_;  // [from * num_dcs + to]
+  std::vector<PeerLinks*> peer_links_;
 };
 
 }  // namespace eunomia::geo::rt::chaos

@@ -42,34 +42,26 @@ class ViolationSink {
   std::size_t emitted_ = 0;
 };
 
-struct LoggedUpdate {
-  std::uint64_t uid = 0;
-  Key key = 0;
-  Value value;
-  VectorTimestamp vts;
-  DatacenterId origin = 0;
-};
-
-std::vector<LoggedUpdate> CollectInstallLogs(const ChaosCluster& cluster) {
-  std::vector<LoggedUpdate> all;
+// Every update ever installed anywhere, as its origin logged it.
+std::vector<RemotePayload> CollectInstallLogs(const ChaosCluster& cluster) {
+  std::vector<RemotePayload> all;
   for (DatacenterId o = 0; o < cluster.config().num_dcs; ++o) {
     for (const auto& rec : cluster.env().install_log(o)) {
-      all.push_back({rec.payload.uid, rec.payload.key, rec.payload.value,
-                     rec.payload.vts, rec.payload.origin});
+      all.push_back(rec.payload);
     }
   }
   return all;
 }
 
 void CheckConvergence(const ChaosCluster& cluster,
-                      const std::vector<LoggedUpdate>& all,
+                      const std::vector<RemotePayload>& all,
                       const InvariantOptions& options,
                       std::vector<Violation>* out) {
   ViolationSink sink(out, "convergence", options.max_details_per_invariant);
   // Oracle: fold every installed update under the store's own arbitration.
   // Supersedes is a strict total order, so the fold is order-independent.
   std::map<Key, GeoVersion> oracle;
-  for (const LoggedUpdate& u : all) {
+  for (const RemotePayload& u : all) {
     auto [it, inserted] = oracle.try_emplace(u.key);
     if (inserted || GeoStore::Supersedes(u.vts, u.origin, it->second)) {
       it->second = GeoVersion{u.value, u.vts, u.origin};
@@ -116,7 +108,7 @@ void CheckConvergence(const ChaosCluster& cluster,
 }
 
 void CheckCausalOrder(const ChaosCluster& cluster,
-                      const std::vector<LoggedUpdate>& all,
+                      const std::vector<RemotePayload>& all,
                       const InvariantOptions& options,
                       std::vector<Violation>* out) {
   constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
@@ -172,7 +164,7 @@ void CheckCausalOrder(const ChaosCluster& cluster,
       }
     }
     for (std::size_t i = 0; i < all.size(); ++i) {
-      const LoggedUpdate& u = all[i];
+      const RemotePayload& u = all[i];
       if (u.origin == dest || vis[i] == kNever) {
         continue;
       }
@@ -219,7 +211,7 @@ void CheckCausalOrder(const ChaosCluster& cluster,
 }
 
 void CheckQuiescenceAndStaleness(const ChaosCluster& cluster,
-                                 const std::vector<LoggedUpdate>& all,
+                                 const std::vector<RemotePayload>& all,
                                  const InvariantOptions& options,
                                  std::vector<Violation>* out) {
   ViolationSink sink(out, "quiescence", options.max_details_per_invariant);
@@ -229,7 +221,7 @@ void CheckQuiescenceAndStaleness(const ChaosCluster& cluster,
   // Max installed timestamp per origin — what every receiver's SiteTime
   // entry must have reached once the world drains.
   std::vector<Timestamp> max_ts(num_dcs, 0);
-  for (const LoggedUpdate& u : all) {
+  for (const RemotePayload& u : all) {
     max_ts[u.origin] = std::max(max_ts[u.origin], u.vts[u.origin]);
   }
   const std::uint64_t stride = cluster.config().partitions_per_dc;
@@ -287,7 +279,7 @@ void CheckQuiescenceAndStaleness(const ChaosCluster& cluster,
 std::vector<Violation> CheckInvariants(const ChaosCluster& cluster,
                                        const InvariantOptions& options) {
   std::vector<Violation> out;
-  const std::vector<LoggedUpdate> all = CollectInstallLogs(cluster);
+  const std::vector<RemotePayload> all = CollectInstallLogs(cluster);
   CheckConvergence(cluster, all, options, &out);
   CheckCausalOrder(cluster, all, options, &out);
   CheckQuiescenceAndStaleness(cluster, all, options, &out);

@@ -1,9 +1,8 @@
 // Post-schedule invariant checking for the chaos harness.
 //
 // After a nemesis schedule heals every fault and the world quiesces, four
-// properties must hold (read-your-writes is the exception — it is checked
-// online by the client harness while the schedule runs, because it is a
-// statement about individual reads, not final state):
+// properties must hold (read-your-writes, a statement about individual
+// reads, is checked online by the client harness):
 //
 //   1. Convergence — every datacenter's merged store equals the oracle:
 //      the per-key fold of ALL updates ever installed anywhere (the
@@ -19,8 +18,7 @@
 //      maximum installed timestamp per origin (nothing silently dropped).
 //   4. Bounded staleness — each Eunomia's stable frontier tracks real time
 //      to within clock error + batching/heartbeat/stabilization periods +
-//      scheduling slack; a wedged stabilizer or starved heartbeat path
-//      shows up as a frontier stuck seconds in the past.
+//      slack; a wedged stabilizer shows up as a frontier stuck in the past.
 #pragma once
 
 #include <string>

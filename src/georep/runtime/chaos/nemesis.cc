@@ -1,7 +1,6 @@
 #include "src/georep/runtime/chaos/nemesis.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -38,7 +37,7 @@ std::uint64_t ParseSeq(const Value& value) {
   return std::strtoull(value.c_str() + 1, nullptr, 10);
 }
 
-GeoConfig DrawConfig(Rng* rng, bool smoke) {
+GeoConfig DrawConfig(Rng* rng) {
   GeoConfig config;
   config.num_dcs = 3;
   config.partitions_per_dc = 2 + static_cast<std::uint32_t>(rng->NextBounded(2));
@@ -60,7 +59,6 @@ GeoConfig DrawConfig(Rng* rng, bool smoke) {
       config.network.wan_one_way_us[j][i] = one_way;
     }
   }
-  (void)smoke;
   return config;
 }
 
@@ -103,7 +101,7 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
   const std::uint64_t horizon_us = options.smoke ? 2'000'000 : 3'000'000;
   const std::uint64_t quiesce_us = options.smoke ? 1'500'000 : 2'000'000;
 
-  const GeoConfig config = DrawConfig(&root, options.smoke);
+  const GeoConfig config = DrawConfig(&root);
   const FaultProfile profile = DrawProfile(&root, options.plant);
 
   // Always consume the draw so a given seed produces the same schedule no
@@ -133,19 +131,14 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
   // --- fault windows ---------------------------------------------------------
   // All windows end at least 400 ms before the horizon; the heal-all event
   // at the horizon restores anything a guard skipped.
-  const bool debug = std::getenv("NEMESIS_DEBUG") != nullptr;
   const std::uint32_t num_windows = 3 + static_cast<std::uint32_t>(root.NextBounded(5));
   std::int64_t max_step_us = 0;
   for (std::uint32_t w = 0; w < num_windows; ++w) {
     const std::uint64_t start = 200'000 + root.NextBounded(horizon_us - 1'200'000);
     const std::uint64_t duration = 100'000 + root.NextBounded(400'000);
-    const std::uint64_t kind = root.NextBounded(4);
-    if (debug) {
-      std::printf("DEBUG window %u: kind=%llu start=%llu duration=%llu\n", w,
-                  static_cast<unsigned long long>(kind),
-                  static_cast<unsigned long long>(start),
-                  static_cast<unsigned long long>(duration));
-    }
+    // Link drops need a catch-up source, so only durable schedules draw
+    // them; WAL-less ones keep their four kinds and draws.
+    const std::uint64_t kind = root.NextBounded(durable ? 5 : 4);
     switch (kind) {
       case 0: {  // WAN degradation, hold-and-flush (FIFO preserved)
         const DatacenterId from = static_cast<DatacenterId>(root.NextBounded(config.num_dcs));
@@ -192,6 +185,18 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
         sim.ScheduleAt(start + duration, [&cluster, dc, p, normal] {
           if (cluster.alive(dc)) {
             cluster.runtime(dc)->SetPartitionCommInterval(p, normal);
+          }
+        });
+        break;
+      }
+      case 4: {  // link drop: in-flight frames lost, re-dial + catch-up
+        const DatacenterId from =
+            static_cast<DatacenterId>(root.NextBounded(config.num_dcs));
+        const DatacenterId to = static_cast<DatacenterId>(
+            (from + 1 + root.NextBounded(config.num_dcs - 1)) % config.num_dcs);
+        sim.ScheduleAt(start, [&cluster, from, to] {
+          if (cluster.alive(from) && cluster.alive(to)) {
+            cluster.env().DropLink(from, to);
           }
         });
         break;
@@ -316,33 +321,6 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
   // alive across reschedules; with the horizon reached nothing will call
   // it again, so break the self-reference or the cycle leaks.
   *tick = nullptr;
-
-  if (std::getenv("NEMESIS_DEBUG") != nullptr) {
-    std::printf("DEBUG seed=%llu scalar=%d\n",
-                static_cast<unsigned long long>(options.seed),
-                config.scalar_metadata ? 1 : 0);
-    for (DatacenterId dc = 0; dc < config.num_dcs; ++dc) {
-      if (!cluster.alive(dc)) {
-        std::printf("  dc%u: CRASHED\n", dc);
-        continue;
-      }
-      const auto* rt = cluster.runtime(dc);
-      std::printf(
-          "  dc%u: pending=%zu buffered=%llu parked=%llu stable=%llu\n", dc,
-          rt->receiver().PendingCount(),
-          static_cast<unsigned long long>(rt->BufferedPayloads()),
-          static_cast<unsigned long long>(rt->PendingApplyCount()),
-          static_cast<unsigned long long>(rt->eunomia().StableTime()));
-      for (DatacenterId o = 0; o < config.num_dcs; ++o) {
-        if (o == dc) continue;
-        std::printf("    from dc%u: frontier=%llu site_time=%llu\n", o,
-                    static_cast<unsigned long long>(
-                        rt->receiver().frontier_of(o)),
-                    static_cast<unsigned long long>(
-                        rt->receiver().site_time()[o]));
-      }
-    }
-  }
 
   // --- invariants ------------------------------------------------------------
   InvariantOptions iopts;

@@ -5,7 +5,8 @@
 // (payload loss/dup/delay rates, metadata duplication), clock skews, a
 // closed-loop client workload with per-client read-your-writes probes, and
 // 3-8 timed fault windows (WAN degradation that heals, whole-DC
-// crash/restart, straggler partitions, clock steps). Every fault heals
+// crash/restart, straggler partitions, clock steps, and in durable
+// schedules link drops that re-dial and catch up). Every fault heals
 // before the horizon, the world quiesces, and the invariant checker runs.
 // The same seed replays the identical schedule bit-for-bit, so a violation
 // reprinted with its seed is a one-command repro.
@@ -27,11 +28,11 @@ struct NemesisOptions {
   // Deliberate bug to inject (--plant): the sweep asserts it is caught.
   Plant plant = Plant::kNone;
   std::uint32_t clients_per_dc = 2;
-  // Durable mode: <0 draws per seed (~40% of schedules recover crashed
-  // datacenters from a WAL+snapshot disk instead of environment replay),
-  // 0 never, 1 always. Durable schedules run fsync-per-commit — the
-  // read-your-writes-across-crash probe is only sound when acknowledged
-  // writes are on stable storage — and add torn-write/bit-flip disk faults.
+  // Durable mode: <0 draws per seed (~40% of schedules recover from a WAL
+  // and peer catch-up instead of environment replay), 0 never, 1 always.
+  // Durable schedules run fsync-per-commit (read-your-writes across a crash
+  // needs acked writes on stable storage) and add torn-write/bit-flip
+  // disk faults.
   int durability = -1;
 };
 

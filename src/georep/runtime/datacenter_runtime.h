@@ -1,20 +1,14 @@
 // One datacenter's EunomiaKV protocol runtime (§4–§5, Algorithm 5),
 // transport-agnostic.
 //
-// This is the protocol extracted from the original simulator-welded
-// EunomiaKvSystem: the partition update path (hybrid clocks of Algorithm 2,
-// metadata batching toward the local Eunomia, direct payload fan-out to
-// sibling partitions), the Eunomia stabilizer shipping ordered metadata to
-// every remote receiver, the Algorithm 5 receiver, session vector clocks
-// and visibility bookkeeping. All interaction with the world goes through
-// the Environment seam (environment.h): the simulator binding reproduces
-// the pre-extraction discrete-event behaviour bit-for-bit; the real
-// binding (geo_node.h) runs the same code over threads and sockets.
-//
-// Threading: the runtime is single-threaded by contract. The binding must
-// serialize every call (client entry points, message ingress, timer
-// callbacks) — the simulator is naturally serial, the real binding routes
-// everything through one event loop per datacenter.
+// The partition update path (hybrid clocks of Algorithm 2, metadata
+// batching toward the local Eunomia, direct payload fan-out to sibling
+// partitions), the Eunomia stabilizer shipping ordered metadata to every
+// remote receiver, the Algorithm 5 receiver, session vector clocks and
+// visibility bookkeeping. All interaction with the world goes through the
+// Environment seam (environment.h), bound by the simulator (sim_env.h) and
+// by real threads and sockets (geo_node.h). Single-threaded by contract:
+// the binding serializes every call.
 #pragma once
 
 #include <cstdint>
@@ -95,15 +89,13 @@ class DatacenterRuntime {
 
   // --- crash-recovery bootstrap ----------------------------------------------
   // Re-installs an update this datacenter originated in a previous
-  // incarnation (replayed from a durable log — in the chaos harness, the
-  // environment's observed payload fan-out stands in for the WAL). Restores
-  // the store version, re-primes the partition's hybrid clock so future
-  // timestamps stay strictly ahead of the old incarnation's, and re-enqueues
-  // the op for Eunomia stabilization + remote shipping (remote receivers
-  // dedup any suffix they already applied). Must be called in timestamp
-  // order per partition, before StartTimers, and does NOT re-fan-out the
-  // payload — the caller re-ships it from the install WAL
-  // (GeoDurability::ReadInstalls).
+  // incarnation (from its install WAL, or the chaos harness's WAL-less
+  // replay). Restores the store version, re-primes the partition's hybrid
+  // clock so future timestamps stay strictly ahead of the old incarnation's,
+  // and re-enqueues the op for stabilization + remote shipping (receivers
+  // dedup what they already applied). Call in timestamp order per
+  // partition, before StartTimers. It does NOT re-fan-out the payload:
+  // PeerLinks' catch-up re-ships it from the install WAL.
   void RestoreLocalUpdate(PartitionId partition, const RemotePayload& update);
   // Restores one store version from a durability snapshot: the raw Put plus
   // a hybrid-clock observation of the version's local component, with no

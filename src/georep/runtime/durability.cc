@@ -408,15 +408,18 @@ bool InstallCursor::ReadChunk(PartitionId partition) {
   return log.done || !log.ready.empty();
 }
 
-bool GeoDurability::SnapshotDue() const {
-  if (inbound_log_ == nullptr) {
-    return false;
-  }
+std::uint64_t GeoDurability::BytesLogged() const {
   std::uint64_t bytes = inbound_log_->bytes_appended();
   for (const auto& log : install_logs_) {
     bytes += log->bytes_appended();
   }
-  return bytes - bytes_at_last_snapshot_ >= options_.snapshot_interval_bytes;
+  return bytes;
+}
+
+bool GeoDurability::SnapshotDue() const {
+  return inbound_log_ != nullptr &&
+         BytesLogged() - bytes_at_last_snapshot_ >=
+             options_.snapshot_interval_bytes;
 }
 
 void GeoDurability::Snapshot(const DatacenterRuntime& runtime,
@@ -495,11 +498,7 @@ void GeoDurability::Snapshot(const DatacenterRuntime& runtime,
     }
   }
 
-  std::uint64_t bytes = inbound_log_->bytes_appended();
-  for (const auto& log : install_logs_) {
-    bytes += log->bytes_appended();
-  }
-  bytes_at_last_snapshot_ = bytes;
+  bytes_at_last_snapshot_ = BytesLogged();
 }
 
 void GeoDurability::Flush() {

@@ -1,6 +1,5 @@
 // GeoDurability — per-datacenter write-ahead logging, snapshots and crash
-// recovery for the geo-replication runtime (ROADMAP item 2: replace the
-// chaos environment's in-memory replay stand-in with a real durable log).
+// recovery for the geo-replication runtime.
 //
 // What survives a kill -9 (given the fsync policy honored it):
 //   - every locally installed update, logged via DurabilityHooks::
@@ -20,34 +19,25 @@
 //                  preserves the per-origin FIFO the receiver relies on
 //   snap           one framed kGeoSnapshotRecord, replaced atomically
 //
-// Recovery = restore the snapshot (store versions, SiteTime, sessions,
-// clock marks), then replay the install logs through RestoreLocalUpdate
-// (re-priming clocks and re-enqueueing for stabilization + re-shipping),
-// then replay the inbound log through OnRemoteMetadata/OnPayload. Replay is
-// at-least-once above the snapshot: the receiver's SiteTime head check and
-// the runtime's payload duplicate check shed everything already covered.
-// The hooks are suppressed while recovering, so replay never re-logs.
+// Recovery = restore the snapshot, then replay the install logs through
+// RestoreLocalUpdate (re-priming clocks, re-enqueueing for stabilization
+// and re-shipping), then the inbound log through OnRemoteMetadata/
+// OnPayload. Replay is at-least-once above the snapshot (the receiver's and
+// the payload dedup shed what is covered) and never re-logs.
 //
-// The install logs are also the only source of peer catch-up (ReadInstalls),
-// the pre-crash fan-out included. Metadata of recovered installs re-ships
-// itself through re-stabilization.
+// The install logs are also the only source of peer catch-up (ReadInstalls,
+// read by PeerLinks). Snapshot() truncates them to the entries above
+// `install_truncate_mark` (PeerLinks::InstallTruncateMark: no peer needs
+// the rest; 0 keeps everything) and the inbound log to the entries above
+// the snapshotted SiteTime. Truncated installs stay recoverable through the
+// snapshot store plus the clock marks.
 //
-// Truncation: Snapshot() rewrites the inbound log keeping only entries not
-// yet covered by the snapshotted SiteTime, and the install logs keeping
-// only entries above `install_truncate_mark` — the caller passes
-// min(local stable frontier, every peer's applied-from-us frontier), or 0
-// to keep everything when peer progress is unknown. Truncated installs stay
-// recoverable through the snapshot store plus the clock marks, and no peer
-// needs them for catch-up: truncation is what bounds catch-up storage.
+// Torn tails: wal::RecoverLog repairs each log before use, discarding a
+// partial or bit-flipped final record on disk.
 //
-// Torn tails: each log is repaired by wal::RecoverLog before use — a
-// partial or bit-flipped final record (detected by the CRC/length framing)
-// is discarded on disk and never reaches the runtime.
-//
-// Threading: single-caller contract, like the runtime it serves. Appends
-// are inline (wal::LogWriter), so the simulator's schedule stays
-// deterministic; under kInterval the caller owns the time bound by calling
-// Flush() every wal::kFsyncIntervalUs (GeoNode does, on its event loop).
+// Threading: single caller, like the runtime it serves. Appends are inline
+// (wal::LogWriter), so the simulator stays deterministic; under kInterval
+// the caller calls Flush() every wal::kFsyncIntervalUs (PeerLinks does).
 #pragma once
 
 #include <cstdint>
@@ -156,12 +146,14 @@ class GeoDurability final : public DurabilityHooks {
   // never reaches it.
   void Flush();
 
+  wal::FsyncPolicy fsync() const { return options_.fsync; }
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
   std::uint64_t append_failures() const { return append_failures_; }
 
  private:
   void Append(wal::LogWriter* writer, std::uint8_t type,
               const std::string& payload);
+  std::uint64_t BytesLogged() const;  // by every log writer, ever
 
   const GeoDurabilityOptions options_;
   std::vector<std::unique_ptr<wal::LogWriter>> install_logs_;  // per partition

@@ -1,17 +1,11 @@
 // The environment seam of the geo-replication runtime.
 //
-// The EunomiaKV protocol (partition update path, Algorithm 5 receiver,
-// stabilizer shipping, session vector clocks) is pure logic: everything it
-// needs from the outside world is a monotonic clock, timers, and a handful
-// of typed, asynchronous message sends. This interface captures exactly
-// that surface, so one protocol implementation runs unchanged under
-//
-//   - the deterministic discrete-event simulator (sim::Simulator /
-//     sim::Network / sim::Server behind every call — reproducible figures,
-//     adversarial schedules), and
-//   - real threads and sockets (an event loop per datacenter, cross-DC
-//     links over net::Transport) — the FoundationDB split: one protocol,
-//     a simulated and a real world behind a narrow seam.
+// The EunomiaKV protocol is pure logic: all it needs from the outside world
+// is a monotonic clock, timers and a handful of typed, asynchronous message
+// sends. This interface captures exactly that surface, so one protocol
+// implementation runs unchanged under the deterministic discrete-event
+// simulator and over real threads and sockets — the FoundationDB split:
+// one protocol, a simulated and a real world behind a narrow seam.
 //
 // Contract every binding must honour (the protocol depends on it):
 //   - All calls into a DatacenterRuntime are serialized (the runtime is

@@ -1,11 +1,10 @@
 // A single-threaded timer/task loop: the real-world stand-in for the
 // discrete-event simulator's one-at-a-time event execution.
 //
-// Each real datacenter node (geo_node.h) owns one EventLoop and routes
-// every runtime interaction through it — timers, client operations,
-// messages arriving from transport threads — which is how the real binding
-// honours the Environment contract that all DatacenterRuntime calls are
-// serialized and never reentrant.
+// Each real datacenter node (geo_node.h) routes every runtime interaction
+// through its EventLoop — timers, client operations, messages from
+// transport threads — so all DatacenterRuntime calls are serialized and
+// never reentrant, as the Environment contract requires.
 //
 // Tasks run in (due time, submission order) priority; Post(fn) is
 // ScheduleAfter(0). Stop() discards pending tasks and joins the thread, so

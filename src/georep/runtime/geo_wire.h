@@ -1,24 +1,13 @@
-// Wire codecs for the geo-replication peer links (message types kGeoHello /
-// kGeoMetaBatch / kGeoFrontier / kGeoPayload of src/net/wire.h).
-//
-// A real deployment connects every ordered pair of datacenters (m, k) with
-// two transport connections dialed by m:
-//
-//   - the *metadata link* (kMetadataLink): kGeoMetaBatch frames carrying
-//     stabilization-ordered RemoteUpdate records, interleaved with
-//     kGeoFrontier beacons in scalar mode. The transport session's FIFO
-//     guarantee IS the §4 "FIFO links between datacenters" assumption, and
-//     the beacon-after-batch invariant the scalar receiver relies on holds
-//     because both travel the same connection.
-//   - the *payload link* (kPayloadLink): kGeoPayload frames fanned out by
-//     partitions as soon as an update commits (§5 — no ordering
-//     constraints, so keeping them off the metadata link means a large
-//     value can never head-of-line-block stabilization metadata).
-//
-// Every link opens with one kGeoHello naming the dialer's datacenter, the
+// Wire codecs for the geo-replication peer links (message types kGeoHello,
+// kGeoMetaBatch, kGeoFrontier, kGeoPayload and kGeoAck of src/net/wire.h;
+// the links themselves are PeerLinks'). The metadata link's FIFO order IS
+// the §4 "FIFO links between datacenters" assumption, and the scalar
+// receiver's beacon-after-batch invariant holds because both travel it; a
+// separate payload link keeps a large value from head-of-line-blocking
+// metadata (§5). Every link opens with a kGeoHello naming the dialer, the
 // deployment shape (which must match the acceptor's) and the link kind.
-// All decoders return false on any structural violation; callers treat that
-// as WireError::kMalformedPayload and drop the session.
+// All decoders return false on any structural violation; callers drop the
+// session.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +42,8 @@ struct GeoHelloMsg {
   std::uint32_t partitions = 0;
   std::uint32_t link_kind = kMetadataLink;
   // Metadata link only: the dialer's DURABLY applied frontier of the
-  // acceptor's updates (its recovered SiteTime component for the acceptor).
-  // The acceptor may skip its reconnect replay below this mark. A node
-  // without stable storage must send 0 — its applied frontier does not
-  // survive a restart, so nothing may be skipped on its behalf.
+  // acceptor's updates; the acceptor's replay skips what lies below. A node
+  // without stable storage sends 0 — nothing may be skipped on its behalf.
   std::uint64_t resume_from = 0;
 };
 
@@ -77,11 +64,9 @@ struct GeoPayloadMsg {
 
 // Periodic durably-applied ack, sent by datacenter `dc` on its outbound
 // metadata link: "of YOUR updates I have durably applied up to `applied`".
-// The receiving peer raises its record of what `dc` holds and truncates the
-// retained replay history below it (and, with durability enabled, may
-// truncate its install WAL once every peer's mark passed). Nodes without
-// stable storage send applied=0: an ack must never cause a peer to discard
-// frames the acker could still lose.
+// The receiving peer replays to `dc` only above it, and may truncate its
+// install WAL once every peer's mark passed. Only fsync-per-commit nodes
+// ack: an ack must never let a peer skip frames the acker could lose.
 struct GeoAckMsg {
   DatacenterId dc = 0;          // the acking (sending) datacenter
   std::uint64_t applied = 0;    // durable SiteTime component for the peer

@@ -33,23 +33,25 @@ SimGeoEnvironment::SimGeoEnvironment(sim::Simulator* sim,
 
 void SimGeoEnvironment::ScheduleAfter(DatacenterId dc, std::uint64_t delay_us,
                                       std::function<void()> fn) {
-  (void)dc;
-  sim_->ScheduleAfter(delay_us, std::move(fn));
+  sim_->ScheduleAfter(delay_us, Gate(dc, std::move(fn)));
 }
 
 void SimGeoEnvironment::ClientHop(DatacenterId dc, std::function<void()> fn) {
-  (void)dc;
-  sim_->ScheduleAfter(config_.network.intra_dc_one_way_us, std::move(fn));
+  sim_->ScheduleAfter(config_.network.intra_dc_one_way_us,
+                      Gate(dc, std::move(fn)));
 }
 
 void SimGeoEnvironment::RunOnPartition(DatacenterId dc, PartitionId partition,
                                        std::uint64_t cost_us, bool priority,
                                        std::function<void()> fn) {
-  sim::Server* server = PartitionServer(dc, partition);
+  sim::Server* server =
+      dcs_[dc]
+          .servers[store::ServerOfPartition(partition, config_.servers_per_dc)]
+          .get();
   if (priority) {
-    server->SubmitPriority(cost_us, std::move(fn));
+    server->SubmitPriority(cost_us, Gate(dc, std::move(fn)));
   } else {
-    server->Submit(cost_us, std::move(fn));
+    server->Submit(cost_us, Gate(dc, std::move(fn)));
   }
 }
 
@@ -58,29 +60,26 @@ void SimGeoEnvironment::SendMetadataBatch(DatacenterId dc,
                                           std::vector<OpRecord> batch) {
   network_.Send(dcs_[dc].partition_endpoints[partition],
                 dcs_[dc].eunomia_endpoint,
-                [this, dc, batch = std::move(batch)] {
+                Gate(dc, [this, dc, batch = std::move(batch)] {
                   const std::uint64_t cost =
                       config_.costs.eunomia_op_us * batch.size() + 1;
-                  dcs_[dc].eunomia_server->Submit(cost, [this, dc, batch] {
-                    // Looked up at delivery: a detached (crashed) runtime
-                    // simply loses the message.
-                    if (runtimes_[dc] != nullptr) {
-                      runtimes_[dc]->OnMetadataBatch(batch);
-                    }
-                  });
-                });
+                  dcs_[dc].eunomia_server->Submit(
+                      cost, Gate(dc, [this, dc, batch] {
+                        runtimes_[dc]->OnMetadataBatch(batch);
+                      }));
+                }));
 }
 
 void SimGeoEnvironment::SendHeartbeat(DatacenterId dc, PartitionId partition,
                                       Timestamp ts) {
   network_.Send(dcs_[dc].partition_endpoints[partition],
-                dcs_[dc].eunomia_endpoint, [this, dc, partition, ts] {
-                  dcs_[dc].eunomia_server->Submit(1, [this, dc, partition, ts] {
-                    if (runtimes_[dc] != nullptr) {
-                      runtimes_[dc]->OnHeartbeat(partition, ts);
-                    }
-                  });
-                });
+                dcs_[dc].eunomia_endpoint,
+                Gate(dc, [this, dc, partition, ts] {
+                  dcs_[dc].eunomia_server->Submit(
+                      1, Gate(dc, [this, dc, partition, ts] {
+                        runtimes_[dc]->OnHeartbeat(partition, ts);
+                      }));
+                }));
 }
 
 void SimGeoEnvironment::ChargeEunomia(DatacenterId dc, std::uint64_t cost_us) {
@@ -94,9 +93,7 @@ void SimGeoEnvironment::SendRemoteMetadata(DatacenterId from, DatacenterId to,
                   dcs_[to].receiver_server->Submit(
                       config_.costs.receiver_op_us * batch.size() + 1,
                       [this, to, batch] {
-                        if (runtimes_[to] != nullptr) {
-                          runtimes_[to]->OnRemoteMetadata(batch);
-                        }
+                        runtimes_[to]->OnRemoteMetadata(batch);
                       });
                 });
 }
@@ -110,9 +107,7 @@ void SimGeoEnvironment::SendFrontier(DatacenterId from, DatacenterId to,
                   // FIFO link is enqueued.
                   dcs_[to].receiver_server->Submit(1, [this, from, to,
                                                        frontier] {
-                    if (runtimes_[to] != nullptr) {
-                      runtimes_[to]->OnFrontier(from, frontier);
-                    }
+                    runtimes_[to]->OnFrontier(from, frontier);
                   });
                 });
 }
@@ -123,16 +118,15 @@ void SimGeoEnvironment::SendPayload(DatacenterId from, DatacenterId to,
   network_.Send(dcs_[from].partition_endpoints[partition],
                 dcs_[to].partition_endpoints[partition],
                 [this, to, partition, payload = std::move(payload)]() mutable {
-                  if (runtimes_[to] != nullptr) {
-                    runtimes_[to]->OnPayload(partition, std::move(payload));
-                  }
+                  runtimes_[to]->OnPayload(partition, std::move(payload));
                 });
 }
 
 void SimGeoEnvironment::SendApply(DatacenterId dc, PartitionId partition,
                                   std::function<void()> fn) {
   network_.Send(dcs_[dc].receiver_endpoint,
-                dcs_[dc].partition_endpoints[partition], std::move(fn));
+                dcs_[dc].partition_endpoints[partition],
+                Gate(dc, std::move(fn)));
 }
 
 }  // namespace eunomia::geo::rt

@@ -1,16 +1,14 @@
 // Simulator binding of the geo-runtime Environment.
 //
-// Reproduces the pre-extraction EunomiaKvSystem event structure exactly:
-// the same endpoints are registered in the same order on one sim::Network
-// (partitions, then the Eunomia node, then the receiver, per datacenter),
-// message sends compose the same network hop + FCFS server submission with
-// the same cost-model charges, and timers map 1:1 onto the simulator's
-// event queue — so a fixed seed produces bit-for-bit the behaviour of the
-// monolithic implementation (pinned by GeoRuntimeTest.SimBindingMatches-
-// PreRefactorGolden).
+// Reproduces the pre-extraction EunomiaKvSystem event structure exactly —
+// the same endpoints in the same order on one sim::Network, the same
+// network hop + FCFS server submission and cost charges per send, timers
+// 1:1 on the simulator's queue — so a fixed seed reproduces the monolithic
+// implementation bit for bit (pinned by GeoRuntimeSimEquivalence).
 #pragma once
 
 #include <cassert>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -23,21 +21,17 @@
 
 namespace eunomia::geo::rt {
 
-// Subclassable (not final) so the chaos binding can wrap the send paths
-// with fault injection while reusing the substrate; see runtime/chaos/.
+// Subclassable (not final) so the chaos binding can gate closures and
+// route the WAN sends through its fault-injecting links; see
+// runtime/chaos/.
 class SimGeoEnvironment : public Environment {
  public:
-  // Builds the simulated deployment substrate (FCFS servers + endpoints for
-  // every datacenter in `config`). Runtimes are attached afterwards with
-  // RegisterRuntime — the environment and the runtimes reference each other,
-  // so construction is two-phase.
+  // Builds the simulated substrate (FCFS servers + endpoints per
+  // datacenter); runtimes, which reference it, are registered afterwards.
   SimGeoEnvironment(sim::Simulator* sim, const GeoConfig& config);
   ~SimGeoEnvironment() override = default;
 
-  // Attaches (or, with nullptr, detaches) a datacenter's runtime. Delivery
-  // closures look the runtime up at delivery time and drop the message when
-  // it is detached — which is exactly a crashed datacenter losing whatever
-  // was in flight to it.
+  // Attaches (nullptr: the chaos binding detaches) a datacenter's runtime.
   void RegisterRuntime(DatacenterId dc, DatacenterRuntime* runtime) {
     assert(dc < runtimes_.size());
     runtimes_[dc] = runtime;
@@ -74,10 +68,11 @@ class SimGeoEnvironment : public Environment {
     sim::EndpointId receiver_endpoint = 0;
   };
 
-  sim::Server* PartitionServer(DatacenterId dc, PartitionId p) {
-    return dcs_[dc]
-        .servers[store::ServerOfPartition(p, config_.servers_per_dc)]
-        .get();
+  // Every closure run in datacenter `dc`'s context (timers, hops, server
+  // tasks, intra-DC deliveries) passes through here. The chaos binding
+  // fences a crashed datacenter's closures.
+  virtual std::function<void()> Gate(DatacenterId, std::function<void()> fn) {
+    return fn;
   }
 
   sim::Simulator* const sim_;

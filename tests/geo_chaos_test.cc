@@ -270,6 +270,44 @@ TEST(ChaosCluster, LostThenReshippedPayloadDrains) {
       << (violations.empty() ? "" : violations[0].detail);
 }
 
+// The link-drop fault on one directed pair of a durable cluster: the frames
+// in flight die with the links, the sender re-dials after its backoff and
+// replays its install WAL from the frontier the peer had acked — not from
+// zero, and never above what the peer applied — and the world converges.
+TEST(ChaosCluster, LinkDropReplaysFromTheAckedFrontier) {
+  const GeoConfig config = SmallConfig(3, /*scalar=*/false);
+  chaos::FaultProfile profile;
+  profile.payload_delay = 0.3;  // frames in flight when the links drop
+  chaos::ChaosOptions options = ClusterOpts(config, /*seed=*/17, profile);
+  options.durable = true;
+  sim::Simulator sim(17);
+  chaos::ChaosCluster cluster(&sim, options);
+  cluster.Start();
+  for (DatacenterId dc = 0; dc < 3; ++dc) {
+    ScheduleWrites(&sim, &cluster, dc, 20'000 + dc * 1'000, 600'000, 3'000);
+  }
+  Timestamp acked = 0;
+  sim.ScheduleAt(300'000, [&cluster, &acked] {
+    acked = cluster.links(0)->peer_applied(1);
+    cluster.env().DropLink(0, 1);
+  });
+  sim.RunUntil(2'500'000);
+
+  EXPECT_EQ(cluster.env().stats().links_dropped, 1u);
+  EXPECT_EQ(cluster.links(0)->reconnects(), 1u);
+  const geo::rt::PeerLinks::Replays& replays = cluster.links(0)->replays(1);
+  EXPECT_EQ(replays.started, 2u) << "one catch-up at boot, one after re-dial";
+  EXPECT_GT(replays.frames, 0u);
+  EXPECT_GT(acked, 0u) << "no durable ack arrived before the drop";
+  EXPECT_GE(replays.last_from, acked);
+  EXPECT_LE(replays.last_from, cluster.runtime(1)->receiver().site_time()[0]);
+  const auto violations =
+      chaos::CheckInvariants(cluster, GenerousBound(cluster, config));
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violations, first: "
+      << (violations.empty() ? "" : violations[0].detail);
+}
+
 // --- nemesis schedules -------------------------------------------------------
 
 TEST(Nemesis, SameSeedSameDigest) {
@@ -393,7 +431,7 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   options0.dc = 0;
   options0.config = config;
   options0.connect_attempts = 12;
-  options0.connect_backoff_ms = 25;
+  options0.reconnect_backoff_ms = 25;
   GeoNode::Options options1 = options0;
   options1.dc = 1;
 

@@ -104,8 +104,9 @@ void ExpectNoViolations(const chaos::ChaosCluster& cluster,
 
 // The WAL-backed counterpart of ChaosCluster.CrashRestartConverges: the
 // crashed datacenter rebuilds itself from its own disk (snapshot + install
-// and inbound logs) and only takes *incremental* catch-up from peers, yet
-// ends causally consistent and converged.
+// and inbound logs) and only takes *incremental* catch-up from peers — the
+// replays their PeerLinks send when they re-dial it — yet ends causally
+// consistent and converged.
 TEST(GeoDurable, CrashRestartRecoversFromDiskAndConverges) {
   const GeoConfig config = SmallConfig(3, /*scalar=*/true);
   sim::Simulator sim(21);
@@ -125,6 +126,14 @@ TEST(GeoDurable, CrashRestartRecoversFromDiskAndConverges) {
   // dc1's own pre-crash writes survived through its disk, not the channel
   // replay: the logs held records at recovery time.
   EXPECT_GT(cluster.disk(1)->bytes_written(), 0u);
+  // Both peers re-dialed the restarted dc1 and replayed their install WALs
+  // to it through their cursors.
+  for (const DatacenterId peer : {DatacenterId{0}, DatacenterId{2}}) {
+    const geo::rt::PeerLinks::Replays& replays =
+        cluster.links(peer)->replays(1);
+    EXPECT_EQ(replays.started, 2u) << "dc" << peer;
+    EXPECT_GT(replays.frames, 0u) << "dc" << peer;
+  }
   ExpectNoViolations(cluster, config);
 }
 
@@ -172,7 +181,6 @@ TEST(GeoDurable, TornTailsAndBitFlipsAreDiscardedOnRecovery) {
 TEST(GeoDurable, SnapshotTruncationThenCrashStillRecovers) {
   const GeoConfig config = SmallConfig(2, /*scalar=*/true);
   chaos::ChaosOptions options = DurableOpts(config, /*seed=*/5);
-  options.snapshot_period_us = 50'000;
   options.snapshot_interval_bytes = 1u << 10;  // snapshot almost every check
   sim::Simulator sim(5);
   chaos::ChaosCluster cluster(&sim, options);

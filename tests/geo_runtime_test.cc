@@ -301,6 +301,14 @@ GeoConfig SmallRealConfig() {
   return config;
 }
 
+geo::rt::GeoNode::Options NodeOptions(DatacenterId dc,
+                                      const GeoConfig& config) {
+  geo::rt::GeoNode::Options options;
+  options.dc = dc;
+  options.config = config;
+  return options;
+}
+
 // Dials a node's listener pretending to be datacenter `dc`.
 struct FakePeer {
   std::shared_ptr<net::Connection> meta;
@@ -361,8 +369,8 @@ bool WaitForNode(geo::rt::GeoNode& node,
 TEST(GeoRuntimeSeamReal, DuplicateAndGapDelayedDeliveriesOverTransport) {
   const GeoConfig config = SmallRealConfig();
   net::LoopbackTransport transport;
-  geo::rt::GeoNode node(&transport, {/*dc=*/0, config,
-                                     /*detailed_visibility=*/true});
+  geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
+  node.tracker().EnableDetailedLog();
   ASSERT_NE(node.Listen("seam-node0"), "");
   node.Start();
   FakePeer peer(transport, "seam-node0", /*dc=*/1, config);
@@ -401,8 +409,8 @@ TEST(GeoRuntimeSeamReal, DuplicateAndGapDelayedDeliveriesOverTransport) {
 TEST(GeoRuntimeSeamReal, ReorderedCrossOriginDeliveryWaitsForDependency) {
   const GeoConfig config = SmallRealConfig();
   net::LoopbackTransport transport;
-  geo::rt::GeoNode node(&transport, {/*dc=*/0, config,
-                                     /*detailed_visibility=*/true});
+  geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
+  node.tracker().EnableDetailedLog();
   ASSERT_NE(node.Listen("seam-node0"), "");
   node.Start();
   FakePeer peer1(transport, "seam-node0", /*dc=*/1, config);
@@ -442,7 +450,7 @@ TEST(GeoRuntimeSeamReal, ReorderedCrossOriginDeliveryWaitsForDependency) {
 TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
   const GeoConfig config = SmallRealConfig();
   net::LoopbackTransport transport;
-  geo::rt::GeoNode node(&transport, {/*dc=*/0, config, false});
+  geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
   ASSERT_NE(node.Listen("seam-node0"), "");
   node.Start();
 
@@ -487,7 +495,8 @@ struct TcpCluster {
       transports[m] = std::make_unique<net::EpollTransport>();
       nodes[m] = std::make_unique<geo::rt::GeoNode>(
           transports[m].get(),
-          geo::rt::GeoNode::Options{m, config, /*detailed_visibility=*/true});
+          NodeOptions(m, config));
+      nodes[m]->tracker().EnableDetailedLog();
       addresses[m] = nodes[m]->Listen("127.0.0.1:0");
       EXPECT_NE(addresses[m], "");
     }
