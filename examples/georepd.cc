@@ -244,10 +244,12 @@ int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions) {
   if (metrics_ok) {
     bool buffered_found = false;
     bool pending_found = false;
+    bool loop_found = false;
     SeriesSum(scrape2, "eunomia_georep_buffered_payloads", &buffered_found);
     SeriesSum(scrape2, "eunomia_georep_pending_applies", &pending_found);
+    SeriesSum(scrape2, "eunomia_georep_loop_pending_tasks", &loop_found);
     metrics_ok =
-        buffered_found && pending_found &&
+        buffered_found && pending_found && loop_found &&
         SeriesSum(scrape2,
                   "eunomia_georep_visibility_latency_microseconds_count") >
             0 &&

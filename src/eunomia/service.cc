@@ -121,9 +121,15 @@ EunomiaService::EunomiaService(Options options) : options_(std::move(options)) {
     telemetry_->recovered_batches = registry.AddCounter(
         "eunomia_service_recovered_batches_total",
         "Accepted-but-unstable batches replayed from the WAL at startup");
+    telemetry_->wal_append_failures = registry.AddCounter(
+        "eunomia_service_wal_append_failures_total",
+        "WAL appends and snapshot writes that failed; accepted batches are "
+        "still stabilized, without durability");
   }
   if (options_.durability.disk != nullptr) {
-    wal_ = std::make_unique<ServiceWal>(partitions, options_.durability);
+    wal_ = std::make_unique<ServiceWal>(
+        partitions, options_.durability,
+        telemetry_ ? telemetry_->wal_append_failures : nullptr);
     ServiceWal::Recovered recovered = wal_->Recover();
     wal_suppress_mark_ = recovered.stable_mark;
     recovered_torn_tail_ = recovered.any_torn_tail;

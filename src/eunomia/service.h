@@ -225,6 +225,7 @@ class EunomiaService {
     std::shared_ptr<metrics::Gauge> merge_queue_depth;
     std::shared_ptr<metrics::Counter> ops_stabilized;
     std::shared_ptr<metrics::Counter> recovered_batches;
+    std::shared_ptr<metrics::Counter> wal_append_failures;
   };
 
   void ShardLoop(std::uint32_t shard_index);

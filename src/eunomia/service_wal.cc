@@ -14,8 +14,11 @@ std::string ServiceWal::LogName(PartitionId partition) {
 }
 
 ServiceWal::ServiceWal(std::uint32_t num_partitions,
-                       const ServiceDurability& options)
-    : options_(options), num_partitions_(num_partitions) {}
+                       const ServiceDurability& options,
+                       std::shared_ptr<metrics::Counter> failure_metric)
+    : options_(options),
+      num_partitions_(num_partitions),
+      failure_metric_(std::move(failure_metric)) {}
 
 ServiceWal::~ServiceWal() {
   if (snap_thread_.joinable()) {
@@ -141,10 +144,17 @@ bool ServiceWal::LogBatch(PartitionId partition,
   payload.clear();
   EncodeBatch(&payload, partition, batch);
   if (!logs_[partition]->Append(kBatchRecord, payload)) {
-    append_failures_.fetch_add(1, std::memory_order_relaxed);
+    NoteAppendFailure();
     return false;
   }
   return true;
+}
+
+void ServiceWal::NoteAppendFailure() {
+  append_failures_.fetch_add(1, std::memory_order_relaxed);
+  if (failure_metric_ != nullptr) {
+    failure_metric_->Increment();
+  }
 }
 
 void ServiceWal::LogHeartbeat(PartitionId partition, Timestamp ts) {
@@ -155,7 +165,7 @@ void ServiceWal::LogHeartbeat(PartitionId partition, Timestamp ts) {
   // lost heartbeat only delays stabilization after a restart, it loses no
   // data, so there is no need for a separate non-durable path.
   if (!logs_[partition]->Append(kHeartbeatRecord, payload)) {
-    append_failures_.fetch_add(1, std::memory_order_relaxed);
+    NoteAppendFailure();
   }
 }
 
@@ -240,7 +250,7 @@ void ServiceWal::WriteSnapshotAndCompact(OpOrderKey mark) {
   std::string framed;
   wal::AppendRecord(&framed, kSnapshotRecord, payload);
   if (!options_.disk->WriteAtomic("snap", framed)) {
-    append_failures_.fetch_add(1, std::memory_order_relaxed);
+    NoteAppendFailure();
     return;
   }
   {

@@ -45,6 +45,7 @@
 #include "src/common/sync.h"
 #include "src/common/types.h"
 #include "src/eunomia/op.h"
+#include "src/metrics/counter.h"
 #include "src/wal/log_writer.h"
 
 namespace eunomia {
@@ -66,7 +67,9 @@ class ServiceWal {
   static constexpr std::uint8_t kHeartbeatRecord = 2;
   static constexpr std::uint8_t kSnapshotRecord = 3;
 
-  ServiceWal(std::uint32_t num_partitions, const ServiceDurability& options);
+  // `failure_metric`, if set, advances with append_failures().
+  ServiceWal(std::uint32_t num_partitions, const ServiceDurability& options,
+             std::shared_ptr<metrics::Counter> failure_metric = nullptr);
   ~ServiceWal();
 
   ServiceWal(const ServiceWal&) = delete;
@@ -115,6 +118,7 @@ class ServiceWal {
 
  private:
   void WriteSnapshotAndCompact(OpOrderKey mark);
+  void NoteAppendFailure();
   void SnapshotLoop();
 
   const ServiceDurability options_;
@@ -138,6 +142,7 @@ class ServiceWal {
 
   std::atomic<std::uint64_t> snapshots_taken_{0};
   std::atomic<std::uint64_t> append_failures_{0};
+  const std::shared_ptr<metrics::Counter> failure_metric_;
 };
 
 }  // namespace eunomia

@@ -210,7 +210,8 @@ std::string GeoDurability::InstallLogName(PartitionId p) {
 void GeoDurability::Append(wal::LogWriter* writer, std::uint8_t type,
                            const std::string& payload) {
   // A dying disk degrades durability, not availability: the failure is
-  // counted (and surfaced through append_failures()) but the protocol keeps
+  // counted (append_failures(), which GeoNode exports as
+  // eunomia_georep_wal_append_failures_total) but the protocol keeps
   // running on its in-memory state.
   if (!writer->Append(type, payload)) {
     ++append_failures_;

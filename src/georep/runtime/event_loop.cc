@@ -29,7 +29,7 @@ std::uint64_t EventLoop::Now() const {
 
 void EventLoop::Start() {
   sync::MutexLock lock(mu_);
-  if (running_ || stopped_) {
+  if (running_ || stopped_.load(std::memory_order_relaxed)) {
     return;
   }
   running_ = true;
@@ -40,34 +40,48 @@ void EventLoop::Start() {
 void EventLoop::Stop() {
   {
     sync::MutexLock lock(mu_);
-    if (stopped_) {
+    if (stopped_.load(std::memory_order_relaxed)) {
       return;
     }
-    stopped_ = true;
+    stopped_.store(true, std::memory_order_relaxed);
     cv_.NotifyAll();
   }
   if (thread_.joinable()) {
     thread_.join();
   }
+  // Discarded tasks are destroyed outside mu_: a captured object's
+  // destructor may itself call Post, which is then a no-op.
+  std::vector<Task> ready;
+  std::map<TimerKey, std::function<void()>> timers;
   sync::MutexLock lock(mu_);
   running_ = false;
-  tasks_.clear();
+  ready.swap(ready_);
+  timers.swap(timers_);
+  lock.Unlock();
 }
 
 void EventLoop::ScheduleAfter(std::uint64_t delay_us,
                               std::function<void()> fn) {
   sync::MutexLock lock(mu_);
-  if (stopped_) {
+  if (stopped_.load(std::memory_order_relaxed)) {
     return;
   }
-  tasks_.emplace(std::make_pair(Now() + delay_us, next_seq_++), std::move(fn));
-  cv_.NotifyAll();
+  const std::uint64_t due = Now() + delay_us;
+  if (delay_us == 0) {
+    ready_.push_back(Task{due, next_seq_++, std::move(fn)});
+  } else {
+    timers_.emplace(TimerKey{due, next_seq_++}, std::move(fn));
+  }
+  if (waiting_) {
+    waiting_ = false;
+    cv_.NotifyOne();
+  }
 }
 
 void EventLoop::RunBlocking(std::function<void()> fn) {
   {
     sync::MutexLock lock(mu_);
-    if (!running_ || stopped_) {
+    if (!running_ || stopped_.load(std::memory_order_relaxed)) {
       fn();  // loop not live: the caller is the only executor
       return;
     }
@@ -88,7 +102,7 @@ void EventLoop::RunBlocking(std::function<void()> fn) {
   while (future.wait_for(std::chrono::milliseconds(20)) !=
          std::future_status::ready) {
     sync::MutexLock lock(mu_);
-    if (stopped_ && !running_) {
+    if (stopped_.load(std::memory_order_relaxed) && !running_) {
       if (future.wait_for(std::chrono::seconds(0)) !=
           std::future_status::ready) {
         fn();
@@ -98,26 +112,57 @@ void EventLoop::RunBlocking(std::function<void()> fn) {
   }
 }
 
+std::size_t EventLoop::PendingTasks() const {
+  sync::MutexLock lock(mu_);
+  return ready_.size() + timers_.size();
+}
+
 void EventLoop::RunLoop() {
+  // Reused across turns: `turn` swaps capacity with ready_, so steady state
+  // allocates nothing per task beyond the std::function itself.
+  std::vector<Task> turn;
+  std::vector<Task> due_timers;
   // Manual Lock/Unlock instead of a scoped guard: the lock is dropped
-  // around each task body and re-taken at the loop head — a shape the
-  // static analysis still verifies because every path rebalances.
+  // around each turn's task bodies and re-taken at the loop head — a shape
+  // the static analysis still verifies because every path rebalances.
   mu_.Lock();
-  while (!stopped_) {
-    if (tasks_.empty()) {
-      cv_.Wait(mu_);
+  while (!stopped_.load(std::memory_order_relaxed)) {
+    const std::uint64_t now = Now();
+    while (!timers_.empty() && timers_.begin()->first.first <= now) {
+      auto node = timers_.extract(timers_.begin());
+      due_timers.push_back(
+          Task{node.key().first, node.key().second, std::move(node.mapped())});
+    }
+    if (ready_.empty() && due_timers.empty()) {
+      waiting_ = true;
+      if (timers_.empty()) {
+        cv_.Wait(mu_);
+      } else {
+        cv_.WaitUntil(mu_, epoch_ + std::chrono::microseconds(
+                                        timers_.begin()->first.first));
+      }
+      waiting_ = false;
       continue;
     }
-    const std::uint64_t due = tasks_.begin()->first.first;
-    if (due > Now()) {
-      cv_.WaitUntil(mu_, epoch_ + std::chrono::microseconds(due));
-      continue;
-    }
-    auto it = tasks_.begin();
-    std::function<void()> fn = std::move(it->second);
-    tasks_.erase(it);
+    turn.swap(ready_);
     mu_.Unlock();
-    fn();
+    // Both lists are sorted; run their merge in (due, seq) order. Every
+    // task posted meanwhile sorts after all of them (see the header).
+    std::size_t r = 0;
+    std::size_t t = 0;
+    while ((r < turn.size() || t < due_timers.size()) &&
+           !stopped_.load(std::memory_order_relaxed)) {
+      const bool take_ready =
+          t == due_timers.size() ||
+          (r < turn.size() &&
+           TimerKey{turn[r].due, turn[r].seq} <
+               TimerKey{due_timers[t].due, due_timers[t].seq});
+      Task& task = take_ready ? turn[r++] : due_timers[t++];
+      task.fn();
+      task.fn = nullptr;  // release captures now, as a popped task would
+    }
+    turn.clear();
+    due_timers.clear();
     mu_.Lock();
   }
   mu_.Unlock();

@@ -6,19 +6,36 @@
 // transport threads — so all DatacenterRuntime calls are serialized and
 // never reentrant, as the Environment contract requires.
 //
-// Tasks run in (due time, submission order) priority; Post(fn) is
-// ScheduleAfter(0). Stop() discards pending tasks and joins the thread, so
-// after Stop returns no task is running or will run — state owned by loop
-// tasks may then be inspected from any thread.
+// Order: tasks run in (due time, submission seq) order, exactly as if the
+// loop popped the smallest due task one at a time. Post(fn) is
+// ScheduleAfter(0, fn); both stamp (due = Now(), seq) inside mu_ and append
+// to a FIFO `ready_` vector, which is therefore already sorted. Only
+// delayed timers live in the ordered `timers_` map.
+//
+// Handoff: the loop takes mu_ once per turn. It swaps out `ready_`, moves
+// the timers due at the turn's `now` into a local list, unlocks, and runs
+// the two lists merged by (due, seq). A task posted during the turn is
+// stamped at or after `now` with a larger seq, so it sorts after every
+// task of the turn and runs in the next one — the same sequence the
+// one-at-a-time loop produces. Producers notify the condvar only when the
+// loop is waiting, not once per post.
+//
+// Stop() discards pending tasks and joins the thread; between the tasks
+// of a turn the loop checks an atomic stop flag, so at most the task
+// already running finishes after Stop is requested. After Stop returns no
+// task is running or will run — state owned by loop tasks may then be
+// inspected from any thread.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/common/sync.h"
 
@@ -52,28 +69,43 @@ class EventLoop {
   // when the loop is not running (then the caller is the only thread).
   void RunBlocking(std::function<void()> fn);
 
+  // Tasks queued and not yet taken by a turn: ready posts plus pending
+  // timers. The turn in progress has already taken its own.
+  std::size_t PendingTasks() const;
+
   bool InLoopThread() const {
     return std::this_thread::get_id() ==
            loop_thread_id_.load(std::memory_order_acquire);
   }
 
  private:
+  struct Task {
+    std::uint64_t due;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  using TimerKey = std::pair<std::uint64_t, std::uint64_t>;  // (due, seq)
+
   void RunLoop();
 
   const std::chrono::steady_clock::time_point epoch_;
   mutable sync::Mutex mu_{"rt::EventLoop::mu_", sync::kRankEventLoop};
   sync::CondVar cv_;
-  // (due time us, submission seq) -> task; multimap iteration order is the
-  // execution order.
-  std::multimap<std::pair<std::uint64_t, std::uint64_t>,
-                std::function<void()>>
-      tasks_ GUARDED_BY(mu_);
+  // Posts in (due, seq) order: both are stamped under mu_ on append.
+  std::vector<Task> ready_ GUARDED_BY(mu_);
+  // Delayed timers; iteration order is their execution order.
+  std::map<TimerKey, std::function<void()>> timers_ GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
+  // True while the loop thread is blocked on cv_; a producer that sees it
+  // clears it and notifies, so one wakeup serves every post of the wait.
+  bool waiting_ GUARDED_BY(mu_) = false;
   bool running_ GUARDED_BY(mu_) = false;
-  bool stopped_ GUARDED_BY(mu_) = false;
+  // Written under mu_ (a post that saw it false is queued before Stop's
+  // discard), read without it between the tasks of a turn.
+  std::atomic<bool> stopped_{false};
   std::thread thread_;
-  // Atomic rather than mu_-guarded: InLoopThread is called from loop tasks
-  // that would deadlock taking mu_ while RunLoop holds it.
+  // Atomic rather than mu_-guarded: InLoopThread is read from any thread,
+  // loop tasks included, without taking mu_.
   std::atomic<std::thread::id> loop_thread_id_{};
 };
 

@@ -44,6 +44,11 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
         "Remote updates whose metadata cleared stabilization but whose "
         "apply has not yet run",
         dc_label);
+    telemetry_->loop_pending_tasks = reg.AddGauge(
+        "eunomia_georep_loop_pending_tasks",
+        "Tasks queued on the node's event loop and not yet taken by a turn "
+        "(posts plus pending timers)",
+        dc_label);
     telemetry_->updates_installed = reg.AddCounter(
         "eunomia_georep_updates_installed_total",
         "Updates installed locally (origin-side client writes)", dc_label);
@@ -65,6 +70,11 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
     telemetry_->send_failures = reg.AddCounter(
         "eunomia_georep_send_failures_total",
         "Outbound sends that failed (peer missing or connection down)",
+        dc_label);
+    telemetry_->wal_append_failures = reg.AddCounter(
+        "eunomia_georep_wal_append_failures_total",
+        "WAL appends and snapshot writes that failed; the node keeps "
+        "serving from memory, without durability",
         dc_label);
   }
   if (options_.durability_disk != nullptr) {
@@ -229,6 +239,7 @@ void GeoNode::MetricsTick() {
       static_cast<std::int64_t>(runtime_->BufferedPayloads()));
   t.pending_applies->Set(
       static_cast<std::int64_t>(runtime_->PendingApplyCount()));
+  t.loop_pending_tasks->Set(static_cast<std::int64_t>(loop_.PendingTasks()));
   // Cumulative runtime/node counters mirror as deltas so the registry
   // series stay monotone across this node's lifetime.
   const auto mirror = [](metrics::Counter& counter, std::uint64_t now,
@@ -247,6 +258,10 @@ void GeoNode::MetricsTick() {
          &t.mirrored_wire_errors);
   mirror(*t.send_failures, links_->send_failures(),
          &t.mirrored_send_failures);
+  if (durability_ != nullptr) {
+    mirror(*t.wal_append_failures, durability_->append_failures(),
+           &t.mirrored_wal_append_failures);
+  }
   loop_.ScheduleAfter(options_.metrics_interval_us, [this] { MetricsTick(); });
 }
 

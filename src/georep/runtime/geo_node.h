@@ -168,25 +168,28 @@ class GeoNode final : private Environment, private LinkSeam {
 
   net::ConnectionHandler MakeInboundHandler();
   // Self-rescheduling loop timer (Options::metrics only): samples the
-  // receiver queue gauges and delta-mirrors the cumulative counters into
-  // the registry.
+  // receiver and event-loop queue gauges and delta-mirrors the cumulative
+  // counters into the registry.
   void MetricsTick();
 
   // Per-dc registry series plus the marks MetricsTick deltas against.
   struct Telemetry {
     std::shared_ptr<metrics::Gauge> buffered_payloads;
     std::shared_ptr<metrics::Gauge> pending_applies;
+    std::shared_ptr<metrics::Gauge> loop_pending_tasks;
     std::shared_ptr<metrics::Counter> updates_installed;
     std::shared_ptr<metrics::Counter> payload_duplicates;
     std::shared_ptr<metrics::Counter> reconnects;
     std::shared_ptr<metrics::Counter> replayed_frames;
     std::shared_ptr<metrics::Counter> wire_errors;
     std::shared_ptr<metrics::Counter> send_failures;
+    std::shared_ptr<metrics::Counter> wal_append_failures;
     std::uint64_t mirrored_installed = 0;
     std::uint64_t mirrored_duplicates = 0;
     std::uint64_t mirrored_reconnects = 0;
     std::uint64_t mirrored_wire_errors = 0;
     std::uint64_t mirrored_send_failures = 0;
+    std::uint64_t mirrored_wal_append_failures = 0;
   };
 
   net::Transport* const transport_;

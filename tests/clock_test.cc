@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "src/clock/hlc.h"
+#include "tests/hlc.h"
 #include "src/clock/hybrid_clock.h"
 #include "src/clock/physical_clock.h"
 #include "src/common/random.h"

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "src/georep/runtime/durability.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
+#include "src/metrics/registry.h"
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
@@ -445,6 +447,87 @@ TEST(GeoNodeTcpDurable, IntervalFsyncSyncsAQuietInstallWithinTheInterval) {
   });
   node->Stop();
   EXPECT_EQ(value, "quiet") << "the install was never synced";
+}
+
+// A disk whose every append fails, as a dying device would.
+class FailingAppendDisk final : public wal::MemDisk {
+ public:
+  std::unique_ptr<wal::File> OpenAppend(const std::string&) override {
+    return std::make_unique<FailingFile>();
+  }
+
+ private:
+  struct FailingFile final : wal::File {
+    bool Append(std::string_view) override { return false; }
+    bool Sync() override { return true; }
+  };
+};
+
+// A durable node whose WAL cannot append keeps serving: its client writes
+// complete and become visible at the peer through stabilization, and the
+// failures are exported as eunomia_georep_wal_append_failures_total.
+TEST(GeoNodeTcpDurable, AppendFailuresAreExportedAndWritesStillReplicate) {
+  using geo::rt::GeoNode;
+  constexpr int kWrites = 20;
+  FailingAppendDisk disk;
+  metrics::Registry registry;
+  GeoNode::Options options0;
+  options0.dc = 0;
+  options0.config = SmallConfig(2, false);
+  options0.durability_disk = &disk;
+  options0.metrics = &registry;
+  options0.metrics_interval_us = 10'000;
+  GeoNode::Options options1 = options0;
+  options1.dc = 1;
+  options1.durability_disk = nullptr;
+
+  net::EpollTransport transport0;
+  net::EpollTransport transport1;
+  GeoNode node0(&transport0, options0);
+  GeoNode node1(&transport1, options1);
+  const std::string addr0 = node0.Listen("127.0.0.1:0");
+  const std::string addr1 = node1.Listen("127.0.0.1:0");
+  ASSERT_FALSE(addr0.empty());
+  ASSERT_FALSE(addr1.empty());
+  ASSERT_TRUE(node0.ConnectPeer(1, addr1));
+  ASSERT_TRUE(node1.ConnectPeer(0, addr0));
+  node0.Start();
+  node1.Start();
+
+  std::atomic<int> completed{0};
+  for (int i = 0; i < kWrites; ++i) {
+    node0.ClientUpdate(100, static_cast<Key>(i), "v" + std::to_string(i),
+                       [&completed] { completed.fetch_add(1); });
+  }
+  const auto remote_keys = [&node1, &options1] {
+    std::size_t keys = 0;
+    node1.RunBlocking([&] {
+      for (PartitionId p = 0; p < options1.config.partitions_per_dc; ++p) {
+        node1.runtime().StoreAt(p).ForEach(
+            [&keys](Key, const geo::GeoVersion&) { ++keys; });
+      }
+    });
+    return keys;
+  };
+  auto counter = std::dynamic_pointer_cast<metrics::Counter>(registry.Find(
+      "eunomia_georep_wal_append_failures_total", {{"dc", "0"}}));
+  ASSERT_NE(counter, nullptr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (completed.load() < kWrites ||
+          remote_keys() < static_cast<std::size_t>(kWrites) ||
+          counter->value() == 0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(completed.load(), kWrites);
+  EXPECT_EQ(remote_keys(), static_cast<std::size_t>(kWrites));
+  EXPECT_GT(counter->value(), 0u);
+  EXPECT_NE(registry.Find("eunomia_georep_loop_pending_tasks", {{"dc", "0"}}),
+            nullptr);
+  node0.Stop();
+  node1.Stop();
+  EXPECT_GE(node0.durability()->append_failures(), counter->value());
 }
 
 }  // namespace

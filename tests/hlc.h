@@ -2,10 +2,11 @@
 // implementation.
 //
 // The paper cites HLC [24] as the foundation of its hybrid timestamps. The
-// production protocol uses the compact scalar form in hybrid_clock.h; this
-// file keeps the canonical (l, c) pair formulation, used by tests to check
-// that the scalar form preserves HLC's key guarantees (causality capture and
-// bounded divergence from physical time when clocks are synchronized).
+// production protocol uses the compact scalar form in
+// src/clock/hybrid_clock.h; this file keeps the canonical (l, c) pair
+// formulation, used by clock_test to check that the scalar form preserves
+// HLC's key guarantees (causality capture and bounded divergence from
+// physical time when clocks are synchronized).
 #pragma once
 
 #include <algorithm>

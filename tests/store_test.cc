@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/store/client_session.h"
+#include "tests/client_session.h"
 #include "src/store/hash_ring.h"
 #include "src/store/versioned_store.h"
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/common/random.h"
 #include "src/eunomia/service.h"
 #include "src/eunomia/service_wal.h"
+#include "src/metrics/registry.h"
 #include "src/wal/disk.h"
 #include "src/wal/log.h"
 #include "src/wal/log_writer.h"
@@ -607,6 +609,47 @@ TEST(ServiceRecovery, EmptyAndMissingDataDirRecoverToAFreshService) {
   WaitForStabilized(service, 5);
   service.Stop();
   EXPECT_EQ(capture.Snapshot().size(), 5u);
+}
+
+// A disk whose every append fails, as a dying device would.
+class FailingAppendDisk final : public wal::MemDisk {
+ public:
+  std::unique_ptr<wal::File> OpenAppend(const std::string&) override {
+    return std::make_unique<FailingFile>();
+  }
+
+ private:
+  struct FailingFile final : wal::File {
+    bool Append(std::string_view) override { return false; }
+    bool Sync() override { return true; }
+  };
+};
+
+// A dying disk degrades durability, not availability: the service still
+// stabilizes everything it accepted, and every failed append shows up in
+// eunomia_service_wal_append_failures_total.
+TEST(ServiceRecovery, AppendFailuresAreExportedAndStabilizationContinues) {
+  FailingAppendDisk disk;
+  metrics::Registry registry;
+  StreamCapture capture;
+  EunomiaService::Options options =
+      DurableServiceOptions(&disk, capture.Sink());
+  options.metrics = &registry;
+  EunomiaService service(options);
+  service.Start();
+  for (PartitionId p = 0; p < 2; ++p) {
+    service.SubmitBatch(p, MakeBatch(p, 1 + p, 50));
+    service.Heartbeat(p, 1'000'000);
+  }
+  WaitForStabilized(service, 100);
+  service.Stop();
+  EXPECT_EQ(capture.Snapshot().size(), 100u);
+
+  auto counter = std::dynamic_pointer_cast<metrics::Counter>(
+      registry.Find("eunomia_service_wal_append_failures_total"));
+  ASSERT_NE(counter, nullptr);
+  EXPECT_GE(service.wal_append_failures(), 4u);  // 2 batches + 2 heartbeats
+  EXPECT_EQ(counter->value(), service.wal_append_failures());
 }
 
 }  // namespace
