@@ -5,6 +5,7 @@
 #include <chrono>
 #include <string>
 
+#include "src/common/thread_name.h"
 #include "src/metrics/registry.h"
 
 namespace eunomia {
@@ -167,9 +168,15 @@ void EunomiaService::Start() {
     merge_.shutdown = false;
   }
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->thread = std::thread([this, s] { ShardLoop(s); });
+    shards_[s]->thread = std::thread([this, s] {
+      SetCurrentThreadName("eun-shard-" + std::to_string(s));
+      ShardLoop(s);
+    });
   }
-  merge_thread_ = std::thread([this] { MergeLoop(); });
+  merge_thread_ = std::thread([this] {
+    SetCurrentThreadName("eun-merge");
+    MergeLoop();
+  });
 }
 
 void EunomiaService::Stop() {
@@ -527,7 +534,10 @@ void FtEunomiaService::Start() {
   leader_.store(0);
   for (std::uint32_t r = 0; r < replicas_.size(); ++r) {
     replicas_[r]->alive.store(true);
-    replicas_[r]->thread = std::thread([this, r] { ReplicaLoop(r); });
+    replicas_[r]->thread = std::thread([this, r] {
+      SetCurrentThreadName("eun-replica-" + std::to_string(r));
+      ReplicaLoop(r);
+    });
   }
 }
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/thread_name.h"
 #include "src/net/wire_io.h"
 
 namespace eunomia {
@@ -132,7 +133,10 @@ ServiceWal::Recovered ServiceWal::Recover() {
     logs_[p] = std::make_unique<wal::LogWriter>(options_.disk, LogName(p),
                                                 options_.fsync);
   }
-  snap_thread_ = std::thread([this] { SnapshotLoop(); });
+  snap_thread_ = std::thread([this] {
+    SetCurrentThreadName("wal-snapshot");
+    SnapshotLoop();
+  });
   return out;
 }
 

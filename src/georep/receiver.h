@@ -15,7 +15,12 @@
 // The apply step is asynchronous in the simulator (the partition's server
 // queue executes it), so FLUSH is re-driven both periodically (CHECK_PENDING,
 // every rho) and whenever an apply completes, which preserves the tail-
-// recursive "restart from queue 1" behaviour of Algorithm 5.
+// recursive "restart from queue 1" behaviour of Algorithm 5. A binding may
+// also complete an apply synchronously, inside the apply call (the real
+// node does): the completion's FLUSH then lands inside the running one and
+// returns at once, since that pass rescans after every apply it issues —
+// a long run of ready updates drains in a loop, not one stack frame per
+// applied update.
 //
 // Duplicate suppression: after an Eunomia leader failover (§3.3) a suffix of
 // updates may be shipped twice. Any head with u.vts[k] <= SiteTime_m[k] has
@@ -143,8 +148,14 @@ class Receiver {
   }
 
   // FLUSH (Alg. 5 lines 5-20), iterative form with at most one apply in
-  // flight per origin queue.
+  // flight per origin queue. A nested call can only come from inside
+  // apply_ (a synchronous completion), and the running pass rescans after
+  // every apply, so it returns at once.
   void Flush() {
+    if (flushing_) {
+      return;
+    }
+    flushing_ = true;
     bool progress = true;
     while (progress) {
       progress = false;
@@ -178,6 +189,7 @@ class Receiver {
         progress = true;  // keep scanning the other queues
       }
     }
+    flushing_ = false;
   }
 
   DatacenterId self_;
@@ -191,6 +203,7 @@ class Receiver {
   ApplyFn apply_;
   std::uint64_t applied_ = 0;
   std::uint64_t duplicates_ = 0;
+  bool flushing_ = false;  // a Flush pass is running
 };
 
 }  // namespace eunomia::geo

@@ -10,8 +10,15 @@
 // Contract every binding must honour (the protocol depends on it):
 //   - All calls into a DatacenterRuntime are serialized (the runtime is
 //     single-threaded by construction; the binding provides the illusion).
-//   - Callbacks/deliveries are asynchronous: they run after the caller
-//     returns, never reentrantly from inside the Send*/Schedule* call.
+//   - Timers and WAN traffic are asynchronous: a ScheduleAfter callback
+//     and a SendRemoteMetadata/SendFrontier/SendPayload delivery run after
+//     the caller returns, never reentrantly from inside the call.
+//   - The five local hops (ClientHop, RunOnPartition, SendApply,
+//     SendMetadataBatch, SendHeartbeat) may instead take effect before the
+//     call returns, when the binding charges them no latency: GeoNode runs
+//     them inline on its loop thread, the simulator queues them. The
+//     runtime makes each such call its last step, and the receiver accepts
+//     an apply that completes inside the apply call.
 //   - SendMetadataBatch/SendHeartbeat (partition -> local Eunomia) and
 //     SendRemoteMetadata/SendFrontier (Eunomia -> one remote receiver) are
 //     FIFO per directed channel (§3.1 / §4). SendPayload has no ordering
@@ -42,7 +49,7 @@ class Environment {
                              std::function<void()> fn) = 0;
 
   // One-way client <-> partition hop inside `dc` (a pure latency; the sim
-  // binding charges the intra-DC hop, the real binding runs fn promptly).
+  // binding charges the intra-DC hop, the real binding runs fn inline).
   virtual void ClientHop(DatacenterId dc, std::function<void()> fn) = 0;
 
   // Executes fn in partition (dc, partition)'s compute context, charging

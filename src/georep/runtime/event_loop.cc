@@ -1,6 +1,9 @@
 #include "src/georep/runtime/event_loop.h"
 
 #include <future>
+#include <utility>
+
+#include "src/common/thread_name.h"
 
 namespace eunomia::geo::rt {
 
@@ -16,7 +19,8 @@ std::chrono::steady_clock::time_point ProcessEpoch() {
 
 }  // namespace
 
-EventLoop::EventLoop() : epoch_(ProcessEpoch()) {}
+EventLoop::EventLoop(std::string thread_name)
+    : epoch_(ProcessEpoch()), thread_name_(std::move(thread_name)) {}
 
 EventLoop::~EventLoop() { Stop(); }
 
@@ -33,7 +37,10 @@ void EventLoop::Start() {
     return;
   }
   running_ = true;
-  thread_ = std::thread([this] { RunLoop(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName(thread_name_);
+    RunLoop();
+  });
   loop_thread_id_.store(thread_.get_id(), std::memory_order_release);
 }
 
@@ -66,11 +73,11 @@ void EventLoop::ScheduleAfter(std::uint64_t delay_us,
   if (stopped_.load(std::memory_order_relaxed)) {
     return;
   }
-  const std::uint64_t due = Now() + delay_us;
   if (delay_us == 0) {
-    ready_.push_back(Task{due, next_seq_++, std::move(fn)});
+    ready_.push_back(Task{Now(), next_seq_++, std::move(fn)});
   } else {
-    timers_.emplace(TimerKey{due, next_seq_++}, std::move(fn));
+    const std::uint64_t from = InLoopThread() ? turn_start_ : Now();
+    timers_.emplace(TimerKey{from + delay_us, next_seq_++}, std::move(fn));
   }
   if (waiting_) {
     waiting_ = false;
@@ -144,6 +151,7 @@ void EventLoop::RunLoop() {
       waiting_ = false;
       continue;
     }
+    turn_start_ = now;
     turn.swap(ready_);
     mu_.Unlock();
     // Both lists are sorted; run their merge in (due, seq) order. Every

@@ -3,8 +3,8 @@
 //
 // Each real datacenter node (geo_node.h) routes every runtime interaction
 // through its EventLoop — timers, client operations, messages from
-// transport threads — so all DatacenterRuntime calls are serialized and
-// never reentrant, as the Environment contract requires.
+// transport threads — so all DatacenterRuntime calls are serialized, as
+// the Environment contract requires.
 //
 // Order: tasks run in (due time, submission seq) order, exactly as if the
 // loop popped the smallest due task one at a time. Post(fn) is
@@ -20,6 +20,16 @@
 // one-at-a-time loop produces. Producers notify the condvar only when the
 // loop is waiting, not once per post.
 //
+// Phase: a timer armed by a loop task counts its delay from the start of
+// the running turn, not from the instant it is armed. Timers armed in one
+// turn with equal delays therefore come due together and run in arming
+// order in one later turn, however long the arming turn took, and a
+// periodic timer re-armed from its callback keeps its phase to the others
+// of its period (the runtime's partition flushes stay just ahead of the
+// stabilizer tick they share a turn with). Counted from the arming instant,
+// each timer's position in its turn would push its next due back, and the
+// pushes accumulate period after period.
+//
 // Stop() discards pending tasks and joins the thread; between the tasks
 // of a turn the loop checks an atomic stop flag, so at most the task
 // already running finishes after Stop is requested. After Stop returns no
@@ -33,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,7 +54,8 @@ namespace eunomia::geo::rt {
 
 class EventLoop {
  public:
-  EventLoop();
+  // The loop thread is named `thread_name` (at most 15 bytes are kept).
+  explicit EventLoop(std::string thread_name = "geo-loop");
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -59,8 +71,9 @@ class EventLoop {
   // its post-restart updates.
   std::uint64_t Now() const;
 
-  // Runs fn on the loop thread no earlier than delay_us from now. Safe from
-  // any thread, including loop tasks themselves. A no-op after Stop.
+  // Runs fn on the loop thread no earlier than delay_us from now — from the
+  // start of the running turn when a loop task calls it with delay_us > 0
+  // (see Phase above). Safe from any thread. A no-op after Stop.
   void ScheduleAfter(std::uint64_t delay_us, std::function<void()> fn);
   void Post(std::function<void()> fn) { ScheduleAfter(0, std::move(fn)); }
 
@@ -89,6 +102,7 @@ class EventLoop {
   void RunLoop();
 
   const std::chrono::steady_clock::time_point epoch_;
+  const std::string thread_name_;
   mutable sync::Mutex mu_{"rt::EventLoop::mu_", sync::kRankEventLoop};
   sync::CondVar cv_;
   // Posts in (due, seq) order: both are stamped under mu_ on append.
@@ -100,6 +114,8 @@ class EventLoop {
   // clears it and notifies, so one wakeup serves every post of the wait.
   bool waiting_ GUARDED_BY(mu_) = false;
   bool running_ GUARDED_BY(mu_) = false;
+  // The `now` of the running turn: the base of timers its tasks arm.
+  std::uint64_t turn_start_ GUARDED_BY(mu_) = 0;
   // Written under mu_ (a post that saw it false is queued before Stop's
   // discard), read without it between the tasks of a turn.
   std::atomic<bool> stopped_{false};

@@ -18,6 +18,7 @@ namespace nw = ::eunomia::net::wire;
 GeoNode::GeoNode(net::Transport* transport, Options options)
     : transport_(transport),
       options_(std::move(options)),
+      loop_("geo-loop-dc" + std::to_string(options_.dc)),
       // num_datacenters=2: a per-node tracker sees exactly one visibility
       // report per remote update (its own), so the destination-side stub
       // records reclaim after that single report.
@@ -97,7 +98,8 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
       static_cast<LinkSeam*>(this), durability_.get(), &sessions_,
       telemetry_ != nullptr ? telemetry_->replayed_frames.get() : nullptr);
   if (durability_ != nullptr) {
-    // Pre-Start: the hops recovery triggers queue on the idle loop.
+    // Pre-Start, so the remote applies recovery replays run inline on the
+    // constructing thread.
     durability_->Recover(runtime_.get(), &sessions_);
   }
 }
@@ -304,28 +306,30 @@ void GeoNode::ScheduleAfter(DatacenterId, std::uint64_t delay_us,
   loop_.ScheduleAfter(delay_us, std::move(fn));
 }
 
+// The five local hops run inline: partitions, the Eunomia stabilizer and
+// the receiver share this node's loop thread, so a hop is a call, not a
+// queued task (the contract in environment.h). A flushed batch thus reaches
+// EunomiaCore before the stabilizer tick of the same turn.
+
 void GeoNode::ClientHop(DatacenterId, std::function<void()> fn) {
   // No artificial latency: the real network already charged it.
-  loop_.Post(std::move(fn));
+  fn();
 }
 
 void GeoNode::RunOnPartition(DatacenterId, PartitionId, std::uint64_t, bool,
                              std::function<void()> fn) {
   // No cost model: real work takes real time on the loop.
-  loop_.Post(std::move(fn));
+  fn();
 }
 
 void GeoNode::SendMetadataBatch(DatacenterId, PartitionId,
                                 std::vector<OpRecord> batch) {
-  // Partition and Eunomia node live in this process: a local hop.
-  loop_.Post([this, batch = std::move(batch)] {
-    runtime_->OnMetadataBatch(batch);
-  });
+  runtime_->OnMetadataBatch(batch);
 }
 
 void GeoNode::SendHeartbeat(DatacenterId, PartitionId partition,
                             Timestamp ts) {
-  loop_.Post([this, partition, ts] { runtime_->OnHeartbeat(partition, ts); });
+  runtime_->OnHeartbeat(partition, ts);
 }
 
 void GeoNode::ChargeEunomia(DatacenterId, std::uint64_t) {}
@@ -345,7 +349,7 @@ void GeoNode::SendPayload(DatacenterId, DatacenterId to, PartitionId partition,
 }
 
 void GeoNode::SendApply(DatacenterId, PartitionId, std::function<void()> fn) {
-  loop_.Post(std::move(fn));
+  fn();
 }
 
 // --- inbound peer links ------------------------------------------------------

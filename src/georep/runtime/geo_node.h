@@ -8,6 +8,14 @@
 // dials as transport connections — the §5 data/metadata separation made
 // literal. A rejected inbound frame closes the connection.
 //
+// Partitions, stabilizer and receiver share the loop thread, so the local
+// hops between them run inline: a client operation, an inbound frame and a
+// timer tick are each one loop task, with everything they trigger inside
+// this datacenter (the apply of a released remote update, a flushed batch
+// reaching the stabilizer) done before the task returns. Only what comes
+// from outside a loop task enqueues: timers, inbound frames, link-down
+// reports and client calls.
+//
 // Lifecycle: Listen -> ConnectPeer (for every peer) -> Start -> client
 // traffic -> Stop. Stop shuts the (dedicated) transport down and joins the
 // loop; afterwards every accessor is safe from any thread, while live only
@@ -133,7 +141,9 @@ class GeoNode final : private Environment, private LinkSeam {
     std::vector<std::string> parked;
   };
 
-  // Environment implementation (all invoked from the loop thread).
+  // Environment implementation (all invoked from the loop thread, or from
+  // the constructor's recovery before Start). The five local hops run fn
+  // inline.
   std::uint64_t Now() const override { return loop_.Now(); }
   void ScheduleAfter(DatacenterId dc, std::uint64_t delay_us,
                      std::function<void()> fn) override;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string_view>
 
+#include "src/common/thread_name.h"
 #include "src/metrics/registry.h"
 
 namespace eunomia::metrics {
@@ -110,7 +111,10 @@ std::string MetricsServer::Start(const std::string& address) {
   listen_fd_ = fd;
   address_ = FormatAddress(bound);
   stopping_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this] {
+    SetCurrentThreadName("metrics-http");
+    AcceptLoop();
+  });
   return address_;
 }
 

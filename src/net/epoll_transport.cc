@@ -523,7 +523,7 @@ EpollTransport::EpollTransport(Options options) {
   }
   loops_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    loops_.push_back(std::make_unique<IoLoop>("net::IoLoop"));
+    loops_.push_back(std::make_unique<IoLoop>("net-io-" + std::to_string(i)));
   }
 }
 

@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <utility>
 
+#include "src/common/thread_name.h"
 #include "src/net/net_metrics.h"
 
 namespace eunomia::net {
@@ -28,24 +30,27 @@ thread_local IoLoop* current_loop = nullptr;
 
 IoLoop* IoLoop::Current() { return current_loop; }
 
-IoLoop::IoLoop(const char* name) : name_(name) {
+IoLoop::IoLoop(std::string name) : name_(std::move(name)) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (epoll_fd_ < 0 || wake_fd_ < 0) {
     std::fprintf(stderr, "IoLoop(%s): epoll_create1/eventfd failed: %s\n",
-                 name_, std::strerror(errno));
+                 name_.c_str(), std::strerror(errno));
     std::abort();
   }
   epoll_event ev{};
   ev.events = EPOLLIN;  // level-triggered: drained every wakeup
   ev.data.ptr = nullptr;  // nullptr marks the wakeup fd in dispatch
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    std::fprintf(stderr, "IoLoop(%s): epoll_ctl(wake_fd) failed: %s\n", name_,
-                 std::strerror(errno));
+    std::fprintf(stderr, "IoLoop(%s): epoll_ctl(wake_fd) failed: %s\n",
+                 name_.c_str(), std::strerror(errno));
     std::abort();
   }
   scratch_.resize(kScratchBytes);
-  thread_ = std::thread([this] { Run(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName(name_);
+    Run();
+  });
 }
 
 IoLoop::~IoLoop() {
@@ -133,8 +138,8 @@ void IoLoop::Run() {
       if (errno == EINTR) {
         continue;
       }
-      std::fprintf(stderr, "IoLoop(%s): epoll_wait failed: %s\n", name_,
-                   std::strerror(errno));
+      std::fprintf(stderr, "IoLoop(%s): epoll_wait failed: %s\n",
+                   name_.c_str(), std::strerror(errno));
       std::abort();
     }
     metrics.epoll_wakeups->Increment();

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,8 +47,8 @@ class IoLoop {
     virtual void OnEvents(std::uint32_t events) = 0;
   };
 
-  // Starts the loop thread. `name` must outlive the loop (string literal).
-  explicit IoLoop(const char* name);
+  // Starts the loop thread, named `name` (at most 15 bytes are kept).
+  explicit IoLoop(std::string name);
   ~IoLoop();
 
   IoLoop(const IoLoop&) = delete;
@@ -83,7 +84,7 @@ class IoLoop {
   void Run();
   void Wake();
 
-  const char* const name_;
+  const std::string name_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
 

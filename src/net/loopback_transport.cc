@@ -1,5 +1,7 @@
 #include "src/net/loopback_transport.h"
 
+#include "src/common/thread_name.h"
+
 namespace eunomia::net {
 
 // One endpoint of an in-process connection pair. The peer's SendBytes lands
@@ -12,7 +14,10 @@ class LoopbackTransport::Conn : public Connection,
   void SetHandler(ConnectionHandler handler) { handler_ = std::move(handler); }
 
   void StartDelivery() {
-    delivery_ = std::thread([this] { DeliveryLoop(); });
+    delivery_ = std::thread([this] {
+      SetCurrentThreadName("net-loopback");
+      DeliveryLoop();
+    });
   }
 
   void Close() override { CloseInternal(wire::WireError::kNone); }

@@ -1,6 +1,9 @@
 #include "src/sequencer/sequencer_service.h"
 
 #include <cassert>
+#include <string>
+
+#include "src/common/thread_name.h"
 
 namespace eunomia::seq {
 
@@ -12,7 +15,10 @@ void SequencerService::Start() {
   if (running_.exchange(true)) {
     return;
   }
-  server_ = std::thread([this] { ServerLoop(); });
+  server_ = std::thread([this] {
+    SetCurrentThreadName("seq-server");
+    ServerLoop();
+  });
 }
 
 void SequencerService::Stop() {
@@ -88,7 +94,10 @@ void ChainSequencerService::Start() {
     return;
   }
   for (std::uint32_t i = 0; i < stages_.size(); ++i) {
-    stages_[i]->thread = std::thread([this, i] { StageLoop(i); });
+    stages_[i]->thread = std::thread([this, i] {
+      SetCurrentThreadName("seq-stage-" + std::to_string(i));
+      StageLoop(i);
+    });
   }
 }
 

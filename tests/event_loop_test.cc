@@ -1,7 +1,7 @@
 // Tests for rt::EventLoop, the geo runtime's per-datacenter task loop: the
 // (due, seq) execution order across posts and timers, posts from many
-// threads, Stop's discard guarantee, RunBlocking's inline paths, and the
-// queue-depth accessor.
+// threads, the phase of timers armed in one turn, Stop's discard
+// guarantee, RunBlocking's inline paths, and the queue-depth accessor.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -46,6 +46,32 @@ TEST(EventLoopTest, TaskPostedByATimerRunsBeforeALaterTimer) {
             std::future_status::ready);
   loop.Stop();
   EXPECT_EQ(order, (std::vector<std::string>{"A", "X", "B"}));
+}
+
+// Timers a turn arms with equal delays come due together, in arming order,
+// however long the arming turn ran: a task arms F, keeps the loop busy for
+// 3 ms, then arms S. Counted from the arming instant, S would be due 3 ms
+// after F and the task F posts would run between them (F, X, S).
+TEST(EventLoopTest, TimersArmedInOneTurnComeDueTogether) {
+  EventLoop loop;
+  std::vector<std::string> order;  // loop thread only until Stop
+  std::promise<void> done;
+  loop.Start();
+  loop.Post([&] {
+    loop.ScheduleAfter(1'000, [&] {
+      order.push_back("F");
+      loop.Post([&] { order.push_back("X"); });
+    });
+    const std::uint64_t start = loop.Now();
+    while (loop.Now() < start + 3'000) {
+    }
+    loop.ScheduleAfter(1'000, [&] { order.push_back("S"); });
+    loop.ScheduleAfter(20'000, [&] { done.set_value(); });
+  });
+  ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  loop.Stop();
+  EXPECT_EQ(order, (std::vector<std::string>{"F", "S", "X"}));
 }
 
 // Posts from concurrent producers: every task runs exactly once, and each

@@ -3,7 +3,8 @@
 // bit-flip repair, snapshot-driven log truncation, recovery from an empty
 // disk, the durability handshake codecs (hello resume_from, durable acks),
 // a kill/restart of the real-TCP GeoNode binding on a surviving in-memory
-// disk, and the time bound of its fsync=interval policy.
+// disk, the time bound of its fsync=interval policy, and PeerLinks'
+// catch-up ordering driven one queued task at a time.
 //
 // Everything under the sim binding is deterministic: fixed seeds, inline
 // log writers, and a fault-injecting FaultyDisk whose torn writes and bit
@@ -17,16 +18,22 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/clock/physical_clock.h"
 #include "src/georep/config.h"
 #include "src/georep/runtime/chaos/chaos_cluster.h"
 #include "src/georep/runtime/chaos/invariants.h"
+#include "src/georep/runtime/datacenter_runtime.h"
 #include "src/georep/runtime/durability.h"
+#include "src/georep/runtime/environment.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
+#include "src/georep/runtime/peer_links.h"
+#include "src/georep/visibility.h"
 #include "src/metrics/registry.h"
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
@@ -528,6 +535,161 @@ TEST(GeoNodeTcpDurable, AppendFailuresAreExportedAndWritesStillReplicate) {
   node0.Stop();
   node1.Stop();
   EXPECT_GE(node0.durability()->append_failures(), counter->value());
+}
+
+// --- catch-up ordering, step by step -----------------------------------------
+
+// An Environment whose timers wait in a queue the test drains by hand; the
+// local hops run inline (as GeoNode's do) and nothing crosses the WAN.
+class ManualEnvironment final : public geo::rt::Environment {
+ public:
+  std::uint64_t Now() const override { return now_us_; }
+  void ScheduleAfter(DatacenterId, std::uint64_t delay_us,
+                     std::function<void()> fn) override {
+    queue_.emplace(std::make_pair(now_us_ + delay_us, next_seq_++),
+                   std::move(fn));
+  }
+  void ClientHop(DatacenterId, std::function<void()> fn) override { fn(); }
+  void RunOnPartition(DatacenterId, PartitionId, std::uint64_t, bool,
+                      std::function<void()> fn) override {
+    fn();
+  }
+  void SendMetadataBatch(DatacenterId, PartitionId,
+                         std::vector<OpRecord>) override {}
+  void SendHeartbeat(DatacenterId, PartitionId, Timestamp) override {}
+  void ChargeEunomia(DatacenterId, std::uint64_t) override {}
+  void SendRemoteMetadata(DatacenterId, DatacenterId,
+                          std::vector<geo::RemoteUpdate>) override {}
+  void SendFrontier(DatacenterId, DatacenterId, Timestamp) override {}
+  void SendPayload(DatacenterId, DatacenterId, PartitionId,
+                   geo::RemotePayload) override {}
+  void SendApply(DatacenterId, PartitionId, std::function<void()> fn) override {
+    fn();
+  }
+
+  // Runs the queued tasks due by now, in (due, seq) order, including the
+  // ones they queue with no delay; the clock does not move. Returns how
+  // many ran.
+  int RunDue() {
+    int ran = 0;
+    while (!queue_.empty() && queue_.begin()->first.first <= now_us_) {
+      std::function<void()> fn = std::move(queue_.begin()->second);
+      queue_.erase(queue_.begin());
+      fn();
+      ++ran;
+    }
+    return ran;
+  }
+
+ private:
+  std::uint64_t now_us_ = 1'000'000;
+  std::uint64_t next_seq_ = 0;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::function<void()>>
+      queue_;
+};
+
+// A LinkSeam that is always up and records every frame, both links, in
+// send order.
+struct RecordingSeam final : geo::rt::LinkSeam {
+  std::vector<std::pair<net::wire::MsgType, std::string>> sent;
+
+  bool Dial(DatacenterId, DatacenterId, gw::GeoHelloMsg) override {
+    return true;
+  }
+  bool SendOnMetadataLink(DatacenterId, DatacenterId, net::wire::MsgType type,
+                          std::string frame) override {
+    sent.emplace_back(type, std::move(frame));
+    return true;
+  }
+  bool SendOnPayloadLink(DatacenterId, DatacenterId, PartitionId,
+                         std::string frame) override {
+    sent.emplace_back(net::wire::MsgType::kGeoPayload, std::move(frame));
+    return true;
+  }
+  void Close(DatacenterId, DatacenterId) override {}
+};
+
+// A catch-up replays one bounded chunk per turn, so live metadata can be
+// shipped while a replay is half sent. The metadata link is FIFO and the
+// replay's metadata is older, so the live batch must wait on the hold list
+// and go out after every replayed frame. Under the simulator each chunk
+// re-schedules itself with no delay and a live send almost never lands
+// between two chunks; here one is placed there by hand.
+TEST(PeerLinksCatchUp, LiveMetadataWaitsBehindEveryReplayedChunk) {
+  const GeoConfig config = SmallConfig(2, /*scalar=*/false);
+  ManualEnvironment env;
+  RecordingSeam seam;
+  wal::MemDisk disk;
+  geo::rt::GeoDurabilityOptions dopts;
+  dopts.disk = &disk;
+  dopts.dc = 0;
+  dopts.num_dcs = config.num_dcs;
+  dopts.partitions = config.partitions_per_dc;
+  geo::rt::GeoDurability durability(dopts);
+  geo::VisibilityTracker tracker;
+  geo::rt::UidAllocator uids(0, config.num_dcs);
+  geo::rt::SessionMap sessions;
+  geo::rt::DatacenterRuntime runtime(
+      0, config, &env, &tracker, &uids, &sessions,
+      std::vector<PhysicalClock>(config.partitions_per_dc), &durability);
+  durability.Recover(&runtime, &sessions);  // empty disk: opens the logs
+
+  // 100 installs: two chunks of at most 64. Every partition then reports a
+  // time above them all, so each install is below the replay's horizon and
+  // the replay carries its metadata too.
+  constexpr int kInstalls = 100;
+  for (int i = 0; i < kInstalls; ++i) {
+    runtime.ClientUpdate(/*client=*/1, static_cast<Key>(i), "v", [] {});
+  }
+  const Timestamp above_all = (*runtime.SessionOf(1))[0] + 1'000'000;
+  for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
+    runtime.OnHeartbeat(p, above_all);
+  }
+
+  geo::rt::PeerLinks links(geo::rt::PeerLinks::Options{}, &runtime, &env,
+                           &seam, &durability, &sessions, nullptr);
+  ASSERT_TRUE(links.Dial(1));
+  links.Start();  // the first chunk goes out here
+  ASSERT_EQ(links.replays(1).started, 1u);
+  const std::size_t first_chunk = seam.sent.size();
+  ASSERT_GT(first_chunk, 0u);
+
+  // Between the chunks: one live batch from the stabilizer.
+  constexpr std::uint64_t kLiveUid = 1'000'000'007;
+  geo::RemoteUpdate live{kLiveUid, /*key=*/7,
+                         geo::VectorTimestamp{above_all + 1, 0}, 0, 0};
+  links.SendRemoteMetadata(1, {live});
+  ASSERT_GT(env.RunDue(), 0);  // the rest of the replay
+
+  std::size_t payloads = 0;
+  std::size_t replayed_batches = 0;
+  std::size_t last_replayed = 0;
+  std::size_t live_at = seam.sent.size();
+  for (std::size_t i = 0; i < seam.sent.size(); ++i) {
+    const auto& [type, frame] = seam.sent[i];
+    if (type == net::wire::MsgType::kGeoPayload) {
+      ++payloads;
+      last_replayed = i;
+    } else if (type == net::wire::MsgType::kGeoMetaBatch) {
+      gw::GeoMetaBatchMsg msg;
+      ASSERT_TRUE(gw::DecodeGeoMetaBatch(frame, &msg));
+      ASSERT_FALSE(msg.updates.empty());
+      if (msg.updates[0].uid == kLiveUid) {
+        ASSERT_EQ(live_at, seam.sent.size()) << "live batch sent twice";
+        live_at = i;
+      } else {
+        ++replayed_batches;
+        last_replayed = i;
+      }
+    }
+  }
+  EXPECT_EQ(payloads, static_cast<std::size_t>(kInstalls));
+  EXPECT_GE(replayed_batches, 2u) << "the replay fit in one chunk";
+  EXPECT_EQ(links.replays(1).frames, payloads + replayed_batches);
+  ASSERT_LT(live_at, seam.sent.size()) << "live batch never sent";
+  EXPECT_GT(live_at, last_replayed)
+      << "live metadata overtook the replay on the FIFO link";
+  links.Stop();
 }
 
 }  // namespace

@@ -484,14 +484,18 @@ TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
 // 3. Real-transport 3-DC end-to-end over TCP
 // ---------------------------------------------------------------------------
 
+// One node per datacenter of `config` (3 by default), fully connected.
 struct TcpCluster {
-  GeoConfig config = SmallRealConfig();
-  std::array<std::unique_ptr<net::EpollTransport>, 3> transports;
-  std::array<std::unique_ptr<geo::rt::GeoNode>, 3> nodes;
+  GeoConfig config;
+  std::vector<std::unique_ptr<net::EpollTransport>> transports;
+  std::vector<std::unique_ptr<geo::rt::GeoNode>> nodes;
 
-  TcpCluster() {
-    std::array<std::string, 3> addresses;
-    for (DatacenterId m = 0; m < 3; ++m) {
+  explicit TcpCluster(const GeoConfig& cluster_config = SmallRealConfig())
+      : config(cluster_config),
+        transports(config.num_dcs),
+        nodes(config.num_dcs) {
+    std::vector<std::string> addresses(config.num_dcs);
+    for (DatacenterId m = 0; m < config.num_dcs; ++m) {
       transports[m] = std::make_unique<net::EpollTransport>();
       nodes[m] = std::make_unique<geo::rt::GeoNode>(
           transports[m].get(),
@@ -500,8 +504,8 @@ struct TcpCluster {
       addresses[m] = nodes[m]->Listen("127.0.0.1:0");
       EXPECT_NE(addresses[m], "");
     }
-    for (DatacenterId m = 0; m < 3; ++m) {
-      for (DatacenterId k = 0; k < 3; ++k) {
+    for (DatacenterId m = 0; m < config.num_dcs; ++m) {
+      for (DatacenterId k = 0; k < config.num_dcs; ++k) {
         if (k != m) {
           EXPECT_TRUE(nodes[m]->ConnectPeer(k, addresses[k]));
         }
@@ -699,6 +703,45 @@ TEST(GeoRuntimeTcpE2e, ConcurrentLoadFromAllDatacentersConverges) {
   for (DatacenterId d = 1; d < 3; ++d) {
     EXPECT_TRUE(dc0 == snapshot(d)) << "dc" << d << " diverged";
   }
+}
+
+// The "metadata batch -> Eunomia" stage: the partition-flush timers and
+// the stabilizer share one period, so they come due in the same loop turn.
+// The batch a flush produces must reach the stabilizer of that turn; were
+// the hop queued behind it, every update would wait one extra period and
+// the median visibility delay would sit near 1.5 periods, not 0.5.
+TEST(GeoRuntimeTcpE2e, FlushedBatchShipsInTheStabilizerTickOfItsTurn) {
+  GeoConfig config = SmallRealConfig();
+  config.num_dcs = 2;
+  config.batch_interval_us = 10'000;
+  config.theta_us = 10'000;
+  TcpCluster cluster(config);
+  auto& dc0 = *cluster.nodes[0];
+  auto& dc1 = *cluster.nodes[1];
+
+  // Sequential updates, each awaited at the peer; the pause before each
+  // one spreads the installs over the period's phases.
+  constexpr int kUpdates = 20;
+  for (int i = 0; i < kUpdates; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(i * 7 % 10));
+    dc0.ClientUpdate(/*client=*/1, static_cast<Key>(i), "v", [] {});
+    ASSERT_TRUE(WaitForNode(dc1, [i](const geo::rt::DatacenterRuntime& r) {
+      return r.receiver().applied_count() == static_cast<std::uint64_t>(i + 1);
+    })) << "update " << i;
+  }
+  std::uint64_t count = 0;
+  std::uint64_t median_us = 0;
+  dc1.RunBlocking([&] {
+    const metrics::Histogram* visibility =
+        dc1.tracker().VisibilityHistogram(/*origin=*/0, /*dest=*/1);
+    ASSERT_NE(visibility, nullptr);
+    const auto snap = visibility->Snap();
+    count = snap.count;
+    median_us = snap.Quantile(0.5);
+  });
+  EXPECT_EQ(count, static_cast<std::uint64_t>(kUpdates));
+  EXPECT_LT(median_us, config.theta_us)
+      << "a flushed batch waited for the next stabilizer tick";
 }
 
 // ---------------------------------------------------------------------------

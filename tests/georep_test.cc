@@ -158,6 +158,31 @@ TEST(ReceiverTest, InterleavedOriginsRespectCausalOrder) {
   }
 }
 
+TEST(ReceiverTest, SynchronousApplyDrainsLongRunIteratively) {
+  // An apply that completes inside the apply call (the real node's inline
+  // hops) re-enters FLUSH from the completion. One dependency releasing a
+  // long queued run must drain in a loop: one stack frame per applied
+  // update would overflow the stack long before 100k.
+  constexpr std::uint64_t kQueued = 100'000;
+  SyncApplier applier;
+  Receiver receiver(/*self=*/0, /*num_dcs=*/3, applier.fn());
+  for (std::uint64_t i = 1; i <= kQueued; ++i) {
+    receiver.OnRemoteUpdate(MakeUpdate(i, 1, VectorTimestamp{0, i, 1}));
+  }
+  ASSERT_TRUE(applier.applied.empty());
+  ASSERT_EQ(receiver.PendingCount(), kQueued);
+  // dc2's update 1 is every queued update's dependency.
+  receiver.OnRemoteUpdate(MakeUpdate(kQueued + 1, 2, VectorTimestamp{0, 0, 1}));
+  ASSERT_EQ(applier.applied.size(), kQueued + 1);
+  EXPECT_EQ(applier.applied[0], kQueued + 1);
+  for (std::uint64_t i = 1; i <= kQueued; ++i) {
+    ASSERT_EQ(applier.applied[i], i) << "FIFO order broken at " << i;
+  }
+  EXPECT_EQ(receiver.PendingCount(), 0u);
+  EXPECT_EQ(receiver.applied_count(), kQueued + 1);
+  EXPECT_EQ(receiver.site_time()[1], kQueued);
+}
+
 TEST(VisibilityTrackerTest, ArtificialDelayComputedFromArrival) {
   VisibilityTracker tracker;
   const std::uint64_t uid = tracker.OnInstalled(0, 1000);
