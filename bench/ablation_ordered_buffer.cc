@@ -10,7 +10,8 @@
 // (the library red-black tree) is included as a sanity reference.
 //
 // Two tiers:
-//   - BM_OrdBuf*: the three OrderedBuffer policies (src/ordbuf/) driven
+//   - BM_OrdBuf*: the three OrderedBuffer policies (PartitionRunBuffer in
+//     src/ordbuf/, the tree-backed models in tests/reference/) driven
 //     through the concept interface the core actually uses — per-partition
 //     monotone Append + emit-callback ExtractUpTo. This is the three-way
 //     A1 comparison: the paper's red-black tree, the AVL also-ran, and the
@@ -25,11 +26,11 @@
 
 #include "src/common/random.h"
 #include "src/eunomia/op.h"
-#include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/partition_run_buffer.h"
-#include "src/ordbuf/rbtree_buffer.h"
-#include "src/rbtree/avl_tree.h"
-#include "src/rbtree/red_black_tree.h"
+#include "tests/reference/avl_buffer.h"
+#include "tests/reference/avl_tree.h"
+#include "tests/reference/rbtree_buffer.h"
+#include "tests/reference/red_black_tree.h"
 
 namespace eunomia {
 namespace {

@@ -103,7 +103,7 @@ inline constexpr LockRank kRankShardWake = 710;     // shard wakeup
 inline constexpr LockRank kRankMergeStage = 720;    // merge publish state
 inline constexpr LockRank kRankBatchPool = 730;     // batch free-list
 inline constexpr LockRank kRankConnSend = 800;      // Connection::send_mu_
-inline constexpr LockRank kRankConnQueue = 810;     // per-conn in/outboxes
+inline constexpr LockRank kRankConnQueue = 810;     // per-conn outbox
 inline constexpr LockRank kRankIoLoop = 820;        // net::IoLoop task queue
 inline constexpr LockRank kRankSeqRequest = 900;    // blocking RPC requests
 inline constexpr LockRank kRankWalSnapshot = 920;   // ServiceWal snapshot queue

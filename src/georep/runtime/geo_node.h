@@ -1,6 +1,6 @@
 // GeoNode — the real-world binding of the geo-replication runtime: one
 // datacenter of the EunomiaKV deployment on real threads, behind a
-// net::Transport (TCP or in-process loopback).
+// net::Transport (epoll TCP).
 //
 // A node hosts the full DatacenterRuntime on a single event loop, which
 // provides the serialization the Environment contract requires, and its

@@ -1,5 +1,5 @@
-// EpollTransport: the real-socket Transport backend, built on async event
-// loops.
+// EpollTransport: the Transport backend — real sockets, built on async
+// event loops.
 //
 // A small pool of IoLoop threads owns every socket: the listener accepts on
 // loop 0, accepted/dialed connections are assigned round-robin, and all of a
@@ -17,7 +17,7 @@
 // getting its frames processed: boundedness via TCP's own window instead of
 // a blocked loop.
 //
-// Same session contract as every backend: FIFO frames, on_frame/on_close
+// The session contract of net::Transport: FIFO frames, on_frame/on_close
 // from one thread (the owning loop), on_close exactly once, handler dropped
 // after on_close.
 #pragma once

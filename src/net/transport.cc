@@ -36,8 +36,8 @@ bool Connection::SendFrame(wire::MsgType type, std::string_view payload) {
     return false;
   }
   ++send_seq_;
-  // Both transport backends route every outbound frame through here, so
-  // this is the single egress instrumentation point.
+  // Every outbound frame goes through here or SendFrameBody, so these are
+  // the egress instrumentation points.
   NetMetrics::Get().RecordFrameOut(type, frame_bytes);
   return true;
 }
@@ -70,7 +70,7 @@ bool FrameReceiver::Deliver(Connection& connection,
   // buffer, teardown is asynchronous and handlers must tolerate it.
   NetMetrics& nm = NetMetrics::Get();
   for (wire::Frame& frame : scratch_) {
-    // Single ingress instrumentation point (both backends deliver through
+    // Single ingress instrumentation point (the backend delivers through
     // this receiver).
     nm.RecordFrameIn(frame.type, wire::kHeaderBytes + frame.payload.size());
     if (handler.on_frame) {

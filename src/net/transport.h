@@ -1,19 +1,16 @@
 // The transport abstraction: connection-oriented, frame-delimited, FIFO
-// links between an Eunomia client and the service — the same split
-// FoundationDB makes in fdbrpc (one network interface, a simulated and a
-// real socket implementation behind it) and glusterfs makes with rpc/.
+// links between an Eunomia client and the service, and between geo-
+// replicated datacenters. EunomiaServer, EunomiaClient, GeoNode and
+// PeerLinks are written against this seam, not against sockets.
 //
-// Two backends implement it:
-//   - LoopbackTransport: in-process bounded queues plus one delivery thread
-//     per connection side. Deterministic, no sockets — the backend tests and
-//     simulator-adjacent code use it.
-//   - EpollTransport: real sockets on a small pool of epoll event loops,
-//     length-prefixed frames, writev coalescing, TCP_NODELAY.
+// One backend implements it: EpollTransport (src/net/epoll_transport.h) —
+// real sockets on a small pool of epoll event loops, length-prefixed
+// frames, writev coalescing, TCP_NODELAY. Tests run it on 127.0.0.1.
 //
-// Both backends push every transmitted byte through the wire-format
-// encoder/decoder (src/net/wire.h), so the framing, checksum and session
-// sequence logic is exercised identically in-process and on the network.
-// The session contract both guarantee:
+// Every transmitted byte goes through the wire-format encoder/decoder
+// (src/net/wire.h): Connection::SendFrame stamps the session sequence, and
+// internal::FrameReceiver enforces it on the way in. The session contract
+// a backend guarantees:
 //
 //   - Frames delivered to ConnectionHandler::on_frame arrive in exactly the
 //     order the peer sent them (per-channel FIFO, §3.1) — enforced, not
@@ -104,9 +101,8 @@ class Transport {
   using AcceptHandler =
       std::function<ConnectionHandler(const std::shared_ptr<Connection>&)>;
 
-  // Starts listening. `address` is backend-specific: "host:port" for TCP
-  // (port 0 binds an ephemeral port) or any non-empty name for loopback.
-  // Returns the concrete bound address ("127.0.0.1:41873"), or "" on
+  // Starts listening on `address`, "host:port" (port 0 binds an ephemeral
+  // port). Returns the concrete bound address ("127.0.0.1:41873"), or "" on
   // failure. One listener per transport instance.
   virtual std::string Listen(const std::string& address,
                              AcceptHandler handler) = 0;
@@ -123,11 +119,11 @@ class Transport {
 
 namespace internal {
 
-// Shared receive path: feeds raw bytes through the session decoder and
+// The receive path: feeds raw bytes through the session decoder and
 // dispatches completed frames. Returns false when the stream is malformed
 // (error() names the failure); the caller must then tear the connection
-// down. Used by both transport backends so session enforcement cannot
-// diverge between them.
+// down. It sits beside Connection's sequence stamping, so both halves of
+// session enforcement live in this file rather than in the backend.
 class FrameReceiver {
  public:
   bool Deliver(Connection& connection, const ConnectionHandler& handler,

@@ -8,11 +8,12 @@
 // time. That observation admits a strictly cheaper layout — one append-only
 // ring buffer per partition plus a tournament merge over the P run heads —
 // which PartitionRunBuffer implements, and which EunomiaCore holds. The
-// tree-backed buffers (RbTreeBuffer, AvlBuffer) are reference models only:
-// ablation A1 (bench/ablation_ordered_buffer.cc) reproduces the §6 design
-// choice with them, and tests/ordbuf_equivalence_test.cc pins the core's
-// emission against a stabilizer built over them. No production target
-// includes them.
+// tree-backed buffers (RbTreeBuffer, AvlBuffer, in tests/reference/ with the
+// trees they wrap) are reference models only: ablation A1
+// (bench/ablation_ordered_buffer.cc) reproduces the §6 design choice with
+// them, and tests/ordbuf_equivalence_test.cc pins the core's emission
+// against a stabilizer built over them. No production target includes
+// them.
 //
 // OrderedBuffer concept (all three implementations satisfy it):
 //

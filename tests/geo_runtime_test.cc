@@ -12,7 +12,7 @@
 //   2. Receiver edge cases at the runtime seam — duplicate, reordered
 //      (causally inverted), and gap-delayed cross-DC deliveries
 //      (Algorithm 5) — under BOTH bindings: the simulator environment and
-//      a real GeoNode fed frames by a fake peer over a transport.
+//      a real GeoNode fed frames by a fake peer over TCP.
 //   3. The real-transport end-to-end: a 3-datacenter deployment over TCP
 //      sockets where a remote update becomes visible only once both its
 //      payload and the receiver's go-ahead arrived, and causal chains stay
@@ -36,7 +36,6 @@
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
 #include "src/georep/runtime/sim_env.h"
-#include "src/net/loopback_transport.h"
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workload.h"
@@ -286,7 +285,7 @@ TEST(GeoRuntimeSeamSim, GapDelayedPayloadParksTheGoAhead) {
 
 // ---------------------------------------------------------------------------
 // 2b. The same edge cases through the real binding: a GeoNode fed raw
-//     frames by a fake peer over a transport.
+//     frames by a fake peer that dials its TCP listener.
 // ---------------------------------------------------------------------------
 
 GeoConfig SmallRealConfig() {
@@ -368,12 +367,13 @@ bool WaitForNode(geo::rt::GeoNode& node,
 
 TEST(GeoRuntimeSeamReal, DuplicateAndGapDelayedDeliveriesOverTransport) {
   const GeoConfig config = SmallRealConfig();
-  net::LoopbackTransport transport;
+  net::EpollTransport transport;
   geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
   node.tracker().EnableDetailedLog();
-  ASSERT_NE(node.Listen("seam-node0"), "");
+  const std::string address = node.Listen("127.0.0.1:0");
+  ASSERT_NE(address, "");
   node.Start();
-  FakePeer peer(transport, "seam-node0", /*dc=*/1, config);
+  FakePeer peer(transport, address, /*dc=*/1, config);
   ASSERT_NE(peer.meta, nullptr);
   ASSERT_NE(peer.payload, nullptr);
 
@@ -408,13 +408,14 @@ TEST(GeoRuntimeSeamReal, DuplicateAndGapDelayedDeliveriesOverTransport) {
 
 TEST(GeoRuntimeSeamReal, ReorderedCrossOriginDeliveryWaitsForDependency) {
   const GeoConfig config = SmallRealConfig();
-  net::LoopbackTransport transport;
+  net::EpollTransport transport;
   geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
   node.tracker().EnableDetailedLog();
-  ASSERT_NE(node.Listen("seam-node0"), "");
+  const std::string address = node.Listen("127.0.0.1:0");
+  ASSERT_NE(address, "");
   node.Start();
-  FakePeer peer1(transport, "seam-node0", /*dc=*/1, config);
-  FakePeer peer2(transport, "seam-node0", /*dc=*/2, config);
+  FakePeer peer1(transport, address, /*dc=*/1, config);
+  FakePeer peer2(transport, address, /*dc=*/2, config);
   ASSERT_NE(peer1.meta, nullptr);
   ASSERT_NE(peer2.meta, nullptr);
 
@@ -449,13 +450,14 @@ TEST(GeoRuntimeSeamReal, ReorderedCrossOriginDeliveryWaitsForDependency) {
 
 TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
   const GeoConfig config = SmallRealConfig();
-  net::LoopbackTransport transport;
+  net::EpollTransport transport;
   geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
-  ASSERT_NE(node.Listen("seam-node0"), "");
+  const std::string address = node.Listen("127.0.0.1:0");
+  ASSERT_NE(address, "");
   node.Start();
 
   // A payload frame on the metadata link is a protocol violation.
-  FakePeer misplaced(transport, "seam-node0", 1, config);
+  FakePeer misplaced(transport, address, 1, config);
   const auto u = MakeUpdate(1, 1, 1, 0, VectorTimestamp{0, 1, 0});
   gw::GeoPayloadMsg msg;
   msg.partition = 0;
@@ -465,7 +467,7 @@ TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
   // A hello claiming a mismatched deployment shape is rejected outright.
   GeoConfig wrong = config;
   wrong.partitions_per_dc = 99;
-  FakePeer bad_shape(transport, "seam-node0", 1, wrong);
+  FakePeer bad_shape(transport, address, 1, wrong);
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);

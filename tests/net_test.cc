@@ -1,20 +1,15 @@
-// Integration tests for the transport layer (src/net/): client/server
-// handshake and submission over both backends, session FIFO enforcement,
-// backpressure, shutdown races, and the end-to-end acceptance property —
-// the stable stream received over real TCP sockets is bit-for-bit identical
-// to a LoopbackTransport run with the same input.
+// Integration tests for the networked service over the epoll TCP
+// transport (src/net/) on 127.0.0.1: handshake rejection, the ack window,
+// shutdown races, the fault-tolerant server, and the end-to-end acceptance
+// property — the stable stream received over real TCP sockets is bit-for-bit
+// the submitted ops in (ts, partition) order. The transport contract itself
+// is pinned by transport_conformance_test.
 #include <gtest/gtest.h>
 #include "src/common/sync.h"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,12 +18,12 @@
 #include "src/net/eunomia_client.h"
 #include "src/net/eunomia_server.h"
 #include "src/net/io_loop.h"
-#include "src/net/loopback_transport.h"
 
 namespace eunomia::net {
 namespace {
 
 constexpr Timestamp kFarFutureTs = 1'000'000'000'000ULL;
+constexpr char kListenAddress[] = "127.0.0.1:0";
 
 bool WaitUntil(const std::function<bool()>& predicate,
                std::chrono::milliseconds budget = std::chrono::seconds(20)) {
@@ -52,18 +47,25 @@ struct WorkloadResult {
   bool ok = false;
 };
 
-WorkloadResult RunInterleavedWorkload(Transport& transport,
-                                      const std::string& listen_address,
-                                      std::uint32_t partitions = 4,
-                                      std::uint32_t batches = 25,
-                                      std::uint32_t ops_per_batch = 40) {
+constexpr std::uint32_t kPartitions = 4;
+constexpr std::uint32_t kBatches = 25;
+constexpr std::uint32_t kOpsPerBatch = 40;
+
+// Op `i` of partition `p`'s batch `b`: timestamps are unique, increase
+// within each partition and interleave across partitions.
+OpRecord InterleavedOp(std::uint32_t p, std::uint32_t b, std::uint32_t i) {
+  const Timestamp ts = static_cast<Timestamp>(b * kOpsPerBatch + i + 1) * 7 + p;
+  return OpRecord{ts, p, /*key=*/ts ^ p, /*tag=*/b};
+}
+
+WorkloadResult RunInterleavedWorkload(Transport& transport) {
   WorkloadResult result;
   EunomiaServer::Options options;
-  options.num_partitions = partitions;
+  options.num_partitions = kPartitions;
   options.num_shards = 2;
   options.stable_period_us = 200;
   EunomiaServer server(&transport, options);
-  const std::string address = server.Start(listen_address);
+  const std::string address = server.Start(kListenAddress);
   if (address.empty()) {
     return result;
   }
@@ -81,24 +83,21 @@ WorkloadResult RunInterleavedWorkload(Transport& transport,
   }
 
   const std::uint64_t total =
-      static_cast<std::uint64_t>(partitions) * batches * ops_per_batch;
+      static_cast<std::uint64_t>(kPartitions) * kBatches * kOpsPerBatch;
   std::atomic<bool> all_ok{true};
   std::vector<std::thread> producers;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
     producers.emplace_back([&, p] {
       EunomiaClient client(&transport, address, {});
       if (!client.Connect()) {
         all_ok.store(false);
         return;
       }
-      for (std::uint32_t b = 0; b < batches; ++b) {
+      for (std::uint32_t b = 0; b < kBatches; ++b) {
         std::vector<OpRecord> batch;
-        batch.reserve(ops_per_batch);
-        for (std::uint32_t i = 0; i < ops_per_batch; ++i) {
-          // Unique, per-partition increasing, interleaved across partitions.
-          const Timestamp ts =
-              static_cast<Timestamp>(b * ops_per_batch + i + 1) * 7 + p;
-          batch.push_back(OpRecord{ts, p, /*key=*/ts ^ p, /*tag=*/b});
+        batch.reserve(kOpsPerBatch);
+        for (std::uint32_t i = 0; i < kOpsPerBatch; ++i) {
+          batch.push_back(InterleavedOp(p, b, i));
         }
         if (!client.SubmitBatch(p, std::move(batch))) {
           all_ok.store(false);
@@ -141,75 +140,42 @@ TEST(IoLoopTest, PostsAfterATaskPostedByATaskStillRun) {
   loop.Stop();
 }
 
-TEST(LoopbackTransportTest, DialUnknownAddressFails) {
-  LoopbackTransport transport;
-  EXPECT_EQ(transport.Dial("nobody-listens-here", {}), nullptr);
-}
-
-TEST(LoopbackTransportTest, ListenRejectsDuplicateName) {
-  LoopbackTransport transport;
-  Transport::AcceptHandler accept = [](const std::shared_ptr<Connection>&) {
-    return ConnectionHandler{};
-  };
-  EXPECT_EQ(transport.Listen("svc", accept), "svc");
-  EXPECT_EQ(transport.Listen("svc", accept), "");
-}
-
-TEST(NetE2eTest, LoopbackSubmitStabilizeSubscribe) {
-  LoopbackTransport transport;
-  const WorkloadResult result = RunInterleavedWorkload(transport, "eunomia");
-  ASSERT_TRUE(result.ok);
-  EXPECT_FALSE(result.stream_broken);
-  ASSERT_EQ(result.stable.size(), 4u * 25 * 40);
-  for (std::size_t i = 1; i < result.stable.size(); ++i) {
-    EXPECT_LT(OrderKeyOf(result.stable[i - 1]), OrderKeyOf(result.stable[i]));
-  }
-}
-
-TEST(NetE2eTest, TcpSubmitStabilizeSubscribe) {
-  EpollTransport transport;
-  const WorkloadResult result =
-      RunInterleavedWorkload(transport, "127.0.0.1:0");
-  ASSERT_TRUE(result.ok);
-  EXPECT_FALSE(result.stream_broken);
-  ASSERT_EQ(result.stable.size(), 4u * 25 * 40);
-}
-
 // The acceptance property: N client connections submitting interleaved
-// batches to eunomiad's server over real TCP produce a stable stream
-// bit-for-bit identical, in (ts, partition) order, to an in-process
-// LoopbackTransport run with the same input.
-TEST(NetE2eTest, TcpStableStreamBitForBitMatchesLoopback) {
-  WorkloadResult tcp_result;
+// batches to eunomiad's server over real TCP produce a stable stream that
+// is bit-for-bit the submitted ops sorted by (ts, partition). Timestamps are
+// unique, so the input alone fixes that stream, with no transport involved.
+TEST(NetE2eTest, TcpStableStreamBitForBitMatchesSortedInput) {
+  std::vector<OpRecord> expected;
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+    for (std::uint32_t b = 0; b < kBatches; ++b) {
+      for (std::uint32_t i = 0; i < kOpsPerBatch; ++i) {
+        expected.push_back(InterleavedOp(p, b, i));
+      }
+    }
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const OpRecord& a, const OpRecord& b) {
+              return OrderKeyOf(a) < OrderKeyOf(b);
+            });
+  WorkloadResult result;
   {
     EpollTransport transport;
-    tcp_result = RunInterleavedWorkload(transport, "127.0.0.1:0");
+    result = RunInterleavedWorkload(transport);
   }
-  WorkloadResult loopback_result;
-  {
-    LoopbackTransport transport;
-    loopback_result = RunInterleavedWorkload(transport, "eunomia");
-  }
-  ASSERT_TRUE(tcp_result.ok);
-  ASSERT_TRUE(loopback_result.ok);
-  EXPECT_FALSE(tcp_result.stream_broken);
-  EXPECT_FALSE(loopback_result.stream_broken);
-  ASSERT_EQ(tcp_result.stable.size(), loopback_result.stable.size());
+  ASSERT_TRUE(result.ok);
+  EXPECT_FALSE(result.stream_broken);
+  ASSERT_EQ(result.stable.size(), expected.size());
   // Bit-for-bit: every field of every record, in the same order.
-  EXPECT_EQ(tcp_result.stable, loopback_result.stable);
-  for (std::size_t i = 1; i < tcp_result.stable.size(); ++i) {
-    EXPECT_LT(OrderKeyOf(tcp_result.stable[i - 1]),
-              OrderKeyOf(tcp_result.stable[i]));
-  }
+  EXPECT_EQ(result.stable, expected);
 }
 
 TEST(NetE2eTest, BackpressureWindowAdmitsEverythingEventually) {
-  LoopbackTransport transport;
+  EpollTransport transport;
   EunomiaServer::Options options;
   options.num_partitions = 1;
   options.stable_period_us = 200;
   EunomiaServer server(&transport, options);
-  const std::string address = server.Start("svc");
+  const std::string address = server.Start(kListenAddress);
   ASSERT_FALSE(address.empty());
   EunomiaClient::Options client_options;
   client_options.max_inflight_ops = 64;  // tiny window: forces ack waits
@@ -234,11 +200,11 @@ TEST(NetE2eTest, BackpressureWindowAdmitsEverythingEventually) {
 }
 
 TEST(NetE2eTest, ProtocolVersionMismatchClosesConnection) {
-  LoopbackTransport transport;
+  EpollTransport transport;
   EunomiaServer::Options options;
   options.num_partitions = 1;
   EunomiaServer server(&transport, options);
-  const std::string address = server.Start("svc");
+  const std::string address = server.Start(kListenAddress);
   ASSERT_FALSE(address.empty());
   std::atomic<bool> closed{false};
   ConnectionHandler handler;
@@ -254,11 +220,11 @@ TEST(NetE2eTest, ProtocolVersionMismatchClosesConnection) {
 }
 
 TEST(NetE2eTest, FrameBeforeHelloIsRejected) {
-  LoopbackTransport transport;
+  EpollTransport transport;
   EunomiaServer::Options options;
   options.num_partitions = 1;
   EunomiaServer server(&transport, options);
-  const std::string address = server.Start("svc");
+  const std::string address = server.Start(kListenAddress);
   ASSERT_FALSE(address.empty());
   std::atomic<bool> closed{false};
   ConnectionHandler handler;
@@ -271,43 +237,13 @@ TEST(NetE2eTest, FrameBeforeHelloIsRejected) {
   server.Stop();
 }
 
-// A raw TCP peer spraying garbage must be detected by the frame decoder and
-// disconnected — never crash the server or corrupt the service.
-TEST(NetE2eTest, GarbageBytesOverTcpAreRejected) {
-  EpollTransport transport;
-  EunomiaServer::Options options;
-  options.num_partitions = 1;
-  EunomiaServer server(&transport, options);
-  const std::string address = server.Start("127.0.0.1:0");
-  ASSERT_FALSE(address.empty());
-  const auto colon = address.rfind(':');
-  const int port = std::stoi(address.substr(colon + 1));
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const char garbage[64] = "this is definitely not an EUNO frame, not even close";
-  ASSERT_GT(::send(fd, garbage, sizeof(garbage), MSG_NOSIGNAL), 0);
-  // The server closes on the bad magic; our read sees EOF.
-  char buffer[16];
-  const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-  EXPECT_LE(n, 0);
-  ::close(fd);
-  server.Stop();
-}
-
 TEST(NetE2eTest, ServerStopWhileClientsAreSubmitting) {
-  LoopbackTransport transport;
+  EpollTransport transport;
   EunomiaServer::Options options;
   options.num_partitions = 2;
   options.stable_period_us = 200;
   EunomiaServer server(&transport, options);
-  const std::string address = server.Start("svc");
+  const std::string address = server.Start(kListenAddress);
   ASSERT_FALSE(address.empty());
   // Two producers hammer submissions while the main thread stops the
   // server: the disconnect must surface as SubmitBatch returning false,
@@ -341,70 +277,15 @@ TEST(NetE2eTest, ServerStopWhileClientsAreSubmitting) {
   SUCCEED();
 }
 
-TEST(NetE2eTest, OversizedBatchesAreChunkedIntoMultipleFrames) {
-  // A submission or emission bigger than one frame must be split, not
-  // dropped or rejected: the client chunks SubmitBatch, the server chunks
-  // StableBatch (consecutive stream sequence numbers). Tiny frame caps
-  // make the splitting observable without 599k-op batches.
-  LoopbackTransport transport;
-  EunomiaServer::Options options;
-  options.num_partitions = 1;
-  options.stable_period_us = 200;
-  options.max_ops_per_stable_frame = 8;
-  EunomiaServer server(&transport, options);
-  const std::string address = server.Start("svc");
-  ASSERT_FALSE(address.empty());
-
-  eunomia::sync::Mutex mu{"net_test::mu", eunomia::sync::kRankLeaf};
-  std::vector<OpRecord> stable;
-  std::size_t stable_batches = 0;
-  EunomiaClient::Options sub_options;
-  sub_options.subscribe = true;
-  sub_options.on_stable = [&](const std::vector<OpRecord>& ops) {
-    eunomia::sync::MutexLock lock(mu);
-    stable.insert(stable.end(), ops.begin(), ops.end());
-    ++stable_batches;
-    EXPECT_LE(ops.size(), 8u);  // the server-side frame cap held
-  };
-  EunomiaClient subscriber(&transport, address, sub_options);
-  ASSERT_TRUE(subscriber.Connect());
-
-  EunomiaClient::Options client_options;
-  client_options.max_ops_per_frame = 16;
-  EunomiaClient client(&transport, address, client_options);
-  ASSERT_TRUE(client.Connect());
-  std::vector<OpRecord> batch;
-  for (Timestamp ts = 1; ts <= 500; ++ts) {
-    batch.push_back(OpRecord{ts, 0, ts, 0});
-  }
-  ASSERT_TRUE(client.SubmitBatch(0, std::move(batch)));  // 500 ops, cap 16
-  client.Heartbeat(0, kFarFutureTs);
-  ASSERT_TRUE(client.WaitForAcks());
-  EXPECT_EQ(client.ops_acked(), 500u);
-  ASSERT_TRUE(WaitUntil([&] { return subscriber.stable_ops_received() >= 500; }));
-  EXPECT_FALSE(subscriber.stream_broken());
-  {
-    eunomia::sync::MutexLock lock(mu);
-    ASSERT_EQ(stable.size(), 500u);
-    EXPECT_GE(stable_batches, 63u);  // 500 ops / 8-op frames
-    for (std::size_t i = 1; i < stable.size(); ++i) {
-      EXPECT_LT(OrderKeyOf(stable[i - 1]), OrderKeyOf(stable[i]));
-    }
-  }
-  subscriber.Close();
-  client.Close();
-  server.Stop();
-}
-
-TEST(NetE2eTest, FtServerStabilizesOverLoopback) {
-  LoopbackTransport transport;
+TEST(NetE2eTest, FtServerStabilizesOverTcp) {
+  EpollTransport transport;
   EunomiaServer::Options options;
   options.fault_tolerant = true;
   options.num_partitions = 2;
   options.num_replicas = 3;
   options.stable_period_us = 200;
   EunomiaServer server(&transport, options);
-  const std::string address = server.Start("ft");
+  const std::string address = server.Start(kListenAddress);
   ASSERT_FALSE(address.empty());
   EunomiaClient client(&transport, address, {});
   ASSERT_TRUE(client.Connect());

@@ -17,8 +17,8 @@
 #include "src/common/random.h"
 #include "src/eunomia/core.h"
 #include "src/eunomia/service.h"
-#include "src/ordbuf/avl_buffer.h"
-#include "src/ordbuf/rbtree_buffer.h"
+#include "tests/reference/avl_buffer.h"
+#include "tests/reference/rbtree_buffer.h"
 
 namespace eunomia {
 namespace {

@@ -1,7 +1,8 @@
 // Tests for the ordered-buffer layer (src/ordbuf/): the tournament
 // structures, and a shared parameterized suite run against all three
 // OrderedBuffer implementations — the run-queue fast path must be
-// observationally identical to the tree-backed buffers.
+// observationally identical to the tree-backed reference buffers
+// (tests/reference/).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,11 @@
 
 #include "src/common/random.h"
 #include "src/eunomia/op.h"
-#include "src/ordbuf/avl_buffer.h"
 #include "src/ordbuf/min_tournament.h"
 #include "src/ordbuf/partition_run_buffer.h"
-#include "src/ordbuf/rbtree_buffer.h"
 #include "src/ordbuf/tournament_tree.h"
+#include "tests/reference/avl_buffer.h"
+#include "tests/reference/rbtree_buffer.h"
 
 namespace eunomia::ordbuf {
 namespace {

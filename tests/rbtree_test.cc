@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/rbtree/avl_tree.h"
-#include "src/rbtree/red_black_tree.h"
+#include "tests/reference/avl_tree.h"
+#include "tests/reference/red_black_tree.h"
 
 namespace eunomia {
 namespace {

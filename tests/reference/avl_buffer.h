@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "src/eunomia/op.h"
-#include "src/rbtree/avl_tree.h"
+#include "tests/reference/avl_tree.h"
 
 namespace eunomia::ordbuf {
 

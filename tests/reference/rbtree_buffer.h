@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/eunomia/op.h"
-#include "src/rbtree/red_black_tree.h"
+#include "tests/reference/red_black_tree.h"
 
 namespace eunomia::ordbuf {
 

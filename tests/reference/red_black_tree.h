@@ -1,4 +1,7 @@
-// Red-black tree — the ordered buffer at the core of the Eunomia service.
+// Red-black tree — the ordered buffer the paper's §6 puts at the core of
+// the Eunomia service. Here it is a reference model: EunomiaCore holds a
+// PartitionRunBuffer, and RbTreeBuffer (rbtree_buffer.h) wraps this tree
+// for the ordered-buffer tests and ablation A1.
 //
 // The paper (§6) reports that Eunomia is implemented "using a red-black
 // tree, a self-balancing binary search tree optimized for insertions and
@@ -10,7 +13,7 @@
 // ExtractUpTo, which removes and returns, in order, every element whose key
 // is <= a stability bound.
 //
-// Keys are unique. Not thread-safe; the Eunomia service serializes access.
+// Keys are unique. Not thread-safe.
 #pragma once
 
 #include <cassert>

@@ -1,9 +1,9 @@
-// Transport conformance suite: one matrix of backend-agnostic contract
-// tests (handshake, FIFO delivery, backpressure, max-size frames, batch
-// chunking, garbage rejection, stop-under-fire, close semantics, fd release
-// after churn) run against every Transport implementation — loopback and
-// the epoll event-loop TCP backend. A new backend passes this suite or it
-// does not ship.
+// Transport conformance suite: the contract of net::Transport (handshake,
+// FIFO delivery, backpressure, max-size frames, batch chunking, garbage
+// rejection, failed dials, one listener per transport, stop-under-fire,
+// close semantics, fd release after churn), run against its backend, the
+// epoll event-loop TCP transport, on 127.0.0.1. A new backend passes this
+// suite or it does not ship.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,7 +24,6 @@
 #include "src/net/epoll_transport.h"
 #include "src/net/eunomia_client.h"
 #include "src/net/eunomia_server.h"
-#include "src/net/loopback_transport.h"
 
 namespace eunomia::net {
 namespace {
@@ -44,8 +43,8 @@ bool WaitUntil(const std::function<bool()>& predicate,
 }
 
 // GoogleTest prints the parameter's bytes into each case's full name, so
-// the values stay fixed: renumbering would rename every epoll_tcp case.
-enum class Backend { kLoopback = 0, kEpollTcp = 2 };
+// the value stays fixed: renumbering would rename every epoll_tcp case.
+enum class Backend { kEpollTcp = 2 };
 
 struct BackendParam {
   Backend backend;
@@ -55,19 +54,9 @@ struct BackendParam {
 class TransportConformanceTest : public ::testing::TestWithParam<BackendParam> {
  protected:
   static std::unique_ptr<Transport> MakeTransport() {
-    switch (GetParam().backend) {
-      case Backend::kLoopback:
-        return std::make_unique<LoopbackTransport>();
-      case Backend::kEpollTcp:
-        return std::make_unique<EpollTransport>();
-    }
-    return nullptr;
+    return std::make_unique<EpollTransport>();
   }
-  static std::string ListenAddress() {
-    return GetParam().backend == Backend::kLoopback ? "conformance"
-                                                    : "127.0.0.1:0";
-  }
-  static bool IsTcp() { return GetParam().backend != Backend::kLoopback; }
+  static std::string ListenAddress() { return "127.0.0.1:0"; }
 };
 
 // Handshake: a real client completes the hello exchange and a submit/ack
@@ -207,8 +196,8 @@ TEST_P(TransportConformanceTest, MaxSizePayloadRoundTrips) {
 }
 
 // Chunking: a batch bigger than one frame is split client-side and
-// re-chunked server-side (tiny caps make it observable), and the stable
-// stream still arrives complete and ordered.
+// re-chunked server-side (tiny caps make it observable): every stable frame
+// holds at most the cap, and the stream still arrives complete and ordered.
 TEST_P(TransportConformanceTest, OversizedBatchesAreChunked) {
   auto transport = MakeTransport();
   EunomiaServer::Options options;
@@ -219,8 +208,17 @@ TEST_P(TransportConformanceTest, OversizedBatchesAreChunked) {
   const std::string address = server.Start(ListenAddress());
   ASSERT_FALSE(address.empty());
 
+  eunomia::sync::Mutex mu{"conformance::mu", eunomia::sync::kRankLeaf};
+  std::vector<OpRecord> stable;
+  std::size_t stable_batches = 0;
   EunomiaClient::Options sub_options;
   sub_options.subscribe = true;
+  sub_options.on_stable = [&](const std::vector<OpRecord>& ops) {
+    eunomia::sync::MutexLock lock(mu);
+    stable.insert(stable.end(), ops.begin(), ops.end());
+    ++stable_batches;
+    EXPECT_LE(ops.size(), 8u);  // the server-side frame cap held
+  };
   EunomiaClient subscriber(transport.get(), address, sub_options);
   ASSERT_TRUE(subscriber.Connect());
 
@@ -232,25 +230,29 @@ TEST_P(TransportConformanceTest, OversizedBatchesAreChunked) {
   for (Timestamp ts = 1; ts <= 500; ++ts) {
     batch.push_back(OpRecord{ts, 0, ts, 0});
   }
-  ASSERT_TRUE(client.SubmitBatch(0, std::move(batch)));
+  ASSERT_TRUE(client.SubmitBatch(0, std::move(batch)));  // 500 ops, cap 16
   client.Heartbeat(0, kFarFutureTs);
   ASSERT_TRUE(client.WaitForAcks());
   EXPECT_EQ(client.ops_acked(), 500u);
   ASSERT_TRUE(
       WaitUntil([&] { return subscriber.stable_ops_received() >= 500; }));
   EXPECT_FALSE(subscriber.stream_broken());
+  {
+    eunomia::sync::MutexLock lock(mu);
+    ASSERT_EQ(stable.size(), 500u);
+    EXPECT_GE(stable_batches, 63u);  // 500 ops / 8-op frames
+    for (std::size_t i = 1; i < stable.size(); ++i) {
+      EXPECT_LT(OrderKeyOf(stable[i - 1]), OrderKeyOf(stable[i]));
+    }
+  }
   subscriber.Close();
   client.Close();
   server.Stop();
 }
 
 // Garbage on the wire is detected by the frame decoder and torn down —
-// never a crash. TCP-only: loopback cannot inject raw bytes below the
-// encoder.
+// never a crash.
 TEST_P(TransportConformanceTest, GarbageBytesAreRejected) {
-  if (!IsTcp()) {
-    GTEST_SKIP() << "loopback has no raw-byte path below the frame encoder";
-  }
   auto transport = MakeTransport();
   EunomiaServer::Options options;
   options.num_partitions = 1;
@@ -277,6 +279,49 @@ TEST_P(TransportConformanceTest, GarbageBytesAreRejected) {
   EXPECT_LE(n, 0);
   ::close(fd);
   server.Stop();
+}
+
+// Dial fails cleanly, returning nullptr, both for an address nobody
+// listens on and for one that does not parse.
+TEST_P(TransportConformanceTest, DialWithoutAListenerFails) {
+  auto transport = MakeTransport();
+  // A socket bound but never listening: connecting to its port is refused,
+  // and nothing else can listen there while it stays bound.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::string unheard =
+      "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+  EXPECT_EQ(transport->Dial(unheard, {}), nullptr);
+  ::close(fd);
+  EXPECT_EQ(transport->Dial("nobody-listens-here", {}), nullptr);
+  transport->Shutdown();
+}
+
+// One listener per transport: a second Listen returns "" and leaves the
+// first listener accepting.
+TEST_P(TransportConformanceTest, SecondListenFailsAndTheFirstStillAccepts) {
+  std::atomic<int> accepted{0};
+  auto transport = MakeTransport();
+  Transport::AcceptHandler accept = [&](const std::shared_ptr<Connection>&) {
+    accepted.fetch_add(1);
+    return ConnectionHandler{};
+  };
+  const std::string address = transport->Listen(ListenAddress(), accept);
+  ASSERT_FALSE(address.empty());
+  EXPECT_EQ(transport->Listen(ListenAddress(), accept), "");
+  EXPECT_EQ(transport->Listen(address, accept), "");
+  auto connection = transport->Dial(address, {});
+  ASSERT_NE(connection, nullptr);
+  EXPECT_TRUE(WaitUntil([&] { return accepted.load() == 1; }));
+  connection->Close();
+  transport->Shutdown();
 }
 
 // Shutdown while senders are mid-flight: SendFrame surfaces false (never a
@@ -372,8 +417,8 @@ TEST_P(TransportConformanceTest, CloseSemantics) {
 
 // Churn then quiet: connections that were dialed, used and closed give back
 // their file descriptors without any later accept or dial to trigger a
-// cleanup pass. On TCP each churned connection holds two sockets (dialed +
-// accepted side); loopback holds none, so there the count simply stays put.
+// cleanup pass. Each churned connection holds two sockets (dialed +
+// accepted side).
 TEST_P(TransportConformanceTest, ChurnedConnectionsReleaseTheirFds) {
   const auto open_fds = [] {
     std::size_t n = 0;
@@ -470,8 +515,7 @@ TEST_P(TransportConformanceTest, LateCloseLeavesOtherConnectionsAlone) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, TransportConformanceTest,
-    ::testing::Values(BackendParam{Backend::kLoopback, "loopback"},
-                      BackendParam{Backend::kEpollTcp, "epoll_tcp"}),
+    ::testing::Values(BackendParam{Backend::kEpollTcp, "epoll_tcp"}),
     [](const ::testing::TestParamInfo<BackendParam>& info) {
       return std::string(info.param.name);
     });
