@@ -88,7 +88,6 @@ int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions) {
   config.partitions_per_dc = partitions;
   config.batch_interval_us = 200;
   config.theta_us = 200;
-  config.delta_us = 200;
   config.rho_us = 200;
 
   metrics::MetricsServer metrics_server;

@@ -88,12 +88,11 @@ class PartitionedHybridClock {
     return max_ts_;
   }
 
-  // Heartbeat gate and value (Alg. 2 lines 10-12, scaled domain). The
-  // heartbeat value is aligned to the partition's residue and recorded so
-  // that any later update strictly exceeds it.
-  bool HeartbeatDue(Timestamp physical_us, Timestamp delta_us) const {
-    return physical_us * stride_ >= max_ts_ + delta_us * stride_;
-  }
+  // The partition's frontier (Alg. 2 lines 10-12, scaled domain): strictly
+  // above every timestamp issued so far, aligned to the partition's residue
+  // and recorded, so every later update strictly exceeds it (Property 2).
+  // No Δ gate is needed: recording the value is what keeps later updates
+  // above it, so a partition may report its frontier on every flush.
   Timestamp HeartbeatValue(Timestamp physical_us) {
     max_ts_ = AlignUpStrict(std::max(physical_us * stride_, max_ts_));
     return max_ts_;

@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <ostream>
 
 #include "src/common/types.h"
 
@@ -22,6 +23,11 @@ struct OpRecord {
   std::uint64_t tag = 0;     // opaque handle for the embedding system
 
   friend bool operator==(const OpRecord&, const OpRecord&) = default;
+  // Readable form for test failures and logs (GoogleTest prints through it).
+  friend std::ostream& operator<<(std::ostream& os, const OpRecord& op) {
+    return os << "{ts=" << op.ts << " p=" << op.partition << " key=" << op.key
+              << " tag=" << op.tag << "}";
+  }
 };
 
 // Total-order key for the ordered buffer. Property 2 makes (ts, partition)

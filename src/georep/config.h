@@ -88,9 +88,8 @@ struct GeoConfig {
   std::uint32_t servers_per_dc = 3;
 
   // Eunomia timers (§3, §5).
-  std::uint64_t batch_interval_us = 1000;  // partition -> Eunomia batching
+  std::uint64_t batch_interval_us = 1000;  // partition -> Eunomia flush
   std::uint64_t theta_us = 1000;           // PROCESS_STABLE period
-  std::uint64_t delta_us = 1000;           // partition heartbeat interval
   std::uint64_t rho_us = 1000;             // receiver CHECK_PENDING period
 
   // GentleRain / Cure global stabilization timers: the paper sets the

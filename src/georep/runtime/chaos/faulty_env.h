@@ -142,10 +142,10 @@ class FaultyGeoEnvironment : public SimGeoEnvironment, public LinkSeam {
 
   // Runs the closure only if datacenter `dc` has not crashed since the
   // wrap and a runtime is attached — what makes destroying a crashed runtime
-  // safe. It also kills the restart race: a pre-crash heartbeat or batch
-  // carries timestamps AHEAD of the restored batcher's replayed ops, and
-  // reaching the fresh EunomiaCore first it would get them discarded as
-  // non-monotone — silently losing acknowledged updates.
+  // safe. It also kills the restart race: a pre-crash flush carries
+  // timestamps AHEAD of the restored batcher's replayed ops, and reaching
+  // the fresh EunomiaCore first it would get them discarded as non-monotone
+  // — silently losing acknowledged updates.
   std::function<void()> Gate(DatacenterId dc,
                              std::function<void()> fn) override;
 

@@ -17,8 +17,9 @@
 //      go-aheads are empty, and each receiver's SiteTime matches the
 //      maximum installed timestamp per origin (nothing silently dropped).
 //   4. Bounded staleness — each Eunomia's stable frontier tracks real time
-//      to within clock error + batching/heartbeat/stabilization periods +
-//      slack; a wedged stabilizer shows up as a frontier stuck in the past.
+//      to within clock error + two batch intervals + the stabilization and
+//      receiver periods + slack; a wedged stabilizer shows up as a frontier
+//      stuck in the past.
 #pragma once
 
 #include <string>

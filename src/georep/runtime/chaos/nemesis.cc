@@ -326,8 +326,8 @@ NemesisReport RunNemesisSchedule(const NemesisOptions& options) {
   InvariantOptions iopts;
   iopts.staleness_bound_us =
       static_cast<std::uint64_t>(cluster.max_clock_error_us()) +
-      config.delta_us + config.batch_interval_us + config.theta_us +
-      config.rho_us + 60'000;  // delivery + server-queue slack
+      2 * config.batch_interval_us + config.theta_us + config.rho_us +
+      60'000;  // delivery + server-queue slack
   NemesisReport report;
   report.seed = options.seed;
   report.executed_events = sim.executed_events();

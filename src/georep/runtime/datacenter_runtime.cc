@@ -101,29 +101,26 @@ void DatacenterRuntime::SchedulePartitionFlush(PartitionId p) {
 }
 
 void DatacenterRuntime::FlushPartition(PartitionId p) {
+  // Every flush carries the partition's clock, busy or idle (Alg. 2 lines
+  // 10-12 folded into the batch): the frontier sits above every op in the
+  // batch, and HeartbeatValue records it so later updates strictly exceed
+  // it (Property 2). Reporting only the last op's timestamp would pin this
+  // partition's PartitionTime entry there for a whole interval and hold
+  // back every later update at its siblings.
   Partition& part = partitions_[p];
-  if (!part.batcher.empty()) {
-    // FIFO link partition -> Eunomia (§3.1 assumption).
-    env_->SendMetadataBatch(id_, p, part.batcher.TakeBatch());
-    return;
-  }
-  // Idle partition: heartbeat if due (Alg. 2 lines 10-12). HeartbeatValue
-  // records the emitted timestamp so later updates strictly exceed it,
-  // preserving Property 2 even if an update lands in the same microsecond.
-  const Timestamp now_phys = part.clock.Read(env_->Now());
-  if (part.hybrid.HeartbeatDue(now_phys, config_.delta_us)) {
-    env_->SendHeartbeat(id_, p, part.hybrid.HeartbeatValue(now_phys));
-  }
+  const Timestamp frontier =
+      part.hybrid.HeartbeatValue(part.clock.Read(env_->Now()));
+  // FIFO link partition -> Eunomia (§3.1 assumption).
+  env_->SendMetadataBatch(id_, p, part.batcher.TakeBatch(), frontier);
 }
 
-void DatacenterRuntime::OnMetadataBatch(const std::vector<OpRecord>& batch) {
+void DatacenterRuntime::OnMetadataBatch(PartitionId partition,
+                                        const std::vector<OpRecord>& batch,
+                                        Timestamp frontier) {
   // Per-partition batches are timestamp-ordered: bulk insert through the
   // hinted run path.
   eunomia_.AddBatch(batch);
-}
-
-void DatacenterRuntime::OnHeartbeat(PartitionId partition, Timestamp ts) {
-  eunomia_.Heartbeat(partition, ts);
+  eunomia_.Heartbeat(partition, frontier);
 }
 
 void DatacenterRuntime::ScheduleStabilizer() {

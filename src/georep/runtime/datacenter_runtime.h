@@ -116,10 +116,10 @@ class DatacenterRuntime {
   void PrimePartitionClock(PartitionId partition, Timestamp ts);
 
   // --- message ingress (invoked by the binding on delivery) ------------------
-  // At the Eunomia node: one partition's timestamp-ordered metadata batch /
-  // heartbeat (FIFO per partition).
-  void OnMetadataBatch(const std::vector<OpRecord>& batch);
-  void OnHeartbeat(PartitionId partition, Timestamp ts);
+  // At the Eunomia node: one partition's flush (FIFO per partition) — its
+  // timestamp-ordered metadata batch, possibly empty, then its frontier.
+  void OnMetadataBatch(PartitionId partition,
+                       const std::vector<OpRecord>& batch, Timestamp frontier);
   // At the receiver: ordered metadata from a remote Eunomia (FIFO per
   // origin), and the scalar-mode stable-frontier beacon.
   void OnRemoteMetadata(const std::vector<RemoteUpdate>& batch);

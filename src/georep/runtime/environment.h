@@ -13,13 +13,13 @@
 //   - Timers and WAN traffic are asynchronous: a ScheduleAfter callback
 //     and a SendRemoteMetadata/SendFrontier/SendPayload delivery run after
 //     the caller returns, never reentrantly from inside the call.
-//   - The five local hops (ClientHop, RunOnPartition, SendApply,
-//     SendMetadataBatch, SendHeartbeat) may instead take effect before the
-//     call returns, when the binding charges them no latency: GeoNode runs
-//     them inline on its loop thread, the simulator queues them. The
-//     runtime makes each such call its last step, and the receiver accepts
-//     an apply that completes inside the apply call.
-//   - SendMetadataBatch/SendHeartbeat (partition -> local Eunomia) and
+//   - The four local hops (ClientHop, RunOnPartition, SendApply and the
+//     one partition -> Eunomia call, SendMetadataBatch) may instead take
+//     effect before the call returns, when the binding charges them no
+//     latency: GeoNode runs them inline on its loop thread, the simulator
+//     queues them. The runtime makes each such call its last step, and the
+//     receiver accepts an apply that completes inside the apply call.
+//   - SendMetadataBatch (partition -> local Eunomia) and
 //     SendRemoteMetadata/SendFrontier (Eunomia -> one remote receiver) are
 //     FIFO per directed channel (§3.1 / §4). SendPayload has no ordering
 //     guarantee at all (§5: payloads ship "with no ordering constraints").
@@ -59,12 +59,14 @@ class Environment {
                               std::uint64_t cost_us, bool priority,
                               std::function<void()> fn) = 0;
 
-  // FIFO link partition (dc, partition) -> dc's Eunomia node. Delivered to
-  // DatacenterRuntime::OnMetadataBatch / OnHeartbeat.
+  // FIFO link partition (dc, partition) -> dc's Eunomia node, one message
+  // per flush: the partition's timestamp-ordered batch (possibly empty) and
+  // its frontier, a timestamp above every op in the batch and below every
+  // op the partition issues later. Delivered to
+  // DatacenterRuntime::OnMetadataBatch.
   virtual void SendMetadataBatch(DatacenterId dc, PartitionId partition,
-                                 std::vector<OpRecord> batch) = 0;
-  virtual void SendHeartbeat(DatacenterId dc, PartitionId partition,
-                             Timestamp ts) = 0;
+                                 std::vector<OpRecord> batch,
+                                 Timestamp frontier) = 0;
 
   // Charges the Eunomia node for stabilization/extraction work (sim cost
   // model; a no-op for the real binding, where the work simply runs).

@@ -306,7 +306,7 @@ void GeoNode::ScheduleAfter(DatacenterId, std::uint64_t delay_us,
   loop_.ScheduleAfter(delay_us, std::move(fn));
 }
 
-// The five local hops run inline: partitions, the Eunomia stabilizer and
+// The four local hops run inline: partitions, the Eunomia stabilizer and
 // the receiver share this node's loop thread, so a hop is a call, not a
 // queued task (the contract in environment.h). A flushed batch thus reaches
 // EunomiaCore before the stabilizer tick of the same turn.
@@ -322,14 +322,10 @@ void GeoNode::RunOnPartition(DatacenterId, PartitionId, std::uint64_t, bool,
   fn();
 }
 
-void GeoNode::SendMetadataBatch(DatacenterId, PartitionId,
-                                std::vector<OpRecord> batch) {
-  runtime_->OnMetadataBatch(batch);
-}
-
-void GeoNode::SendHeartbeat(DatacenterId, PartitionId partition,
-                            Timestamp ts) {
-  runtime_->OnHeartbeat(partition, ts);
+void GeoNode::SendMetadataBatch(DatacenterId, PartitionId partition,
+                                std::vector<OpRecord> batch,
+                                Timestamp frontier) {
+  runtime_->OnMetadataBatch(partition, batch, frontier);
 }
 
 void GeoNode::ChargeEunomia(DatacenterId, std::uint64_t) {}

@@ -142,7 +142,7 @@ class GeoNode final : private Environment, private LinkSeam {
   };
 
   // Environment implementation (all invoked from the loop thread, or from
-  // the constructor's recovery before Start). The five local hops run fn
+  // the constructor's recovery before Start). The four local hops run
   // inline.
   std::uint64_t Now() const override { return loop_.Now(); }
   void ScheduleAfter(DatacenterId dc, std::uint64_t delay_us,
@@ -152,9 +152,8 @@ class GeoNode final : private Environment, private LinkSeam {
                       std::uint64_t cost_us, bool priority,
                       std::function<void()> fn) override;
   void SendMetadataBatch(DatacenterId dc, PartitionId partition,
-                         std::vector<OpRecord> batch) override;
-  void SendHeartbeat(DatacenterId dc, PartitionId partition,
-                     Timestamp ts) override;
+                         std::vector<OpRecord> batch,
+                         Timestamp frontier) override;
   void ChargeEunomia(DatacenterId dc, std::uint64_t cost_us) override;
   void SendRemoteMetadata(DatacenterId from, DatacenterId to,
                           std::vector<RemoteUpdate> batch) override;

@@ -57,27 +57,18 @@ void SimGeoEnvironment::RunOnPartition(DatacenterId dc, PartitionId partition,
 
 void SimGeoEnvironment::SendMetadataBatch(DatacenterId dc,
                                           PartitionId partition,
-                                          std::vector<OpRecord> batch) {
+                                          std::vector<OpRecord> batch,
+                                          Timestamp frontier) {
   network_.Send(dcs_[dc].partition_endpoints[partition],
                 dcs_[dc].eunomia_endpoint,
-                Gate(dc, [this, dc, batch = std::move(batch)] {
+                Gate(dc, [this, dc, partition, frontier,
+                          batch = std::move(batch)] {
                   const std::uint64_t cost =
                       config_.costs.eunomia_op_us * batch.size() + 1;
                   dcs_[dc].eunomia_server->Submit(
-                      cost, Gate(dc, [this, dc, batch] {
-                        runtimes_[dc]->OnMetadataBatch(batch);
-                      }));
-                }));
-}
-
-void SimGeoEnvironment::SendHeartbeat(DatacenterId dc, PartitionId partition,
-                                      Timestamp ts) {
-  network_.Send(dcs_[dc].partition_endpoints[partition],
-                dcs_[dc].eunomia_endpoint,
-                Gate(dc, [this, dc, partition, ts] {
-                  dcs_[dc].eunomia_server->Submit(
-                      1, Gate(dc, [this, dc, partition, ts] {
-                        runtimes_[dc]->OnHeartbeat(partition, ts);
+                      cost, Gate(dc, [this, dc, partition, frontier, batch] {
+                        runtimes_[dc]->OnMetadataBatch(partition, batch,
+                                                       frontier);
                       }));
                 }));
 }

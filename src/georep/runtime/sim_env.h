@@ -45,9 +45,8 @@ class SimGeoEnvironment : public Environment {
                       std::uint64_t cost_us, bool priority,
                       std::function<void()> fn) override;
   void SendMetadataBatch(DatacenterId dc, PartitionId partition,
-                         std::vector<OpRecord> batch) override;
-  void SendHeartbeat(DatacenterId dc, PartitionId partition,
-                     Timestamp ts) override;
+                         std::vector<OpRecord> batch,
+                         Timestamp frontier) override;
   void ChargeEunomia(DatacenterId dc, std::uint64_t cost_us) override;
   void SendRemoteMetadata(DatacenterId from, DatacenterId to,
                           std::vector<RemoteUpdate> batch) override;

@@ -11,9 +11,36 @@
 // O(log P) per emitted op, on an index array that fits in cache (see
 // tournament_tree.h for why the winner variant of the loser tree is used).
 //
-// Satisfies the OrderedBuffer concept (src/ordbuf/ordered_buffer.h). The
-// Append precondition is per-partition key monotonicity — exactly what
-// EunomiaCore enforces before the buffer is reached; it is asserted here.
+// EunomiaCore holds this buffer. The §6 trees (RbTreeBuffer, AvlBuffer, in
+// tests/reference/ with the trees they wrap) are reference models behind
+// the same concept: ablation A1 (bench/ablation_ordered_buffer.cc)
+// reproduces the §6 design choice with them, and
+// tests/ordbuf_equivalence_test.cc pins the core's emission against a
+// stabilizer built over them. No production target includes them.
+//
+// OrderedBuffer concept (all three implementations satisfy it):
+//
+//   // Tracks partitions [first_partition, first_partition + num_partitions);
+//   // keys carry global partition ids.
+//   Buffer(std::uint32_t num_partitions, std::uint32_t first_partition);
+//
+//   // Adds one element. Precondition (Property 2, enforced by EunomiaCore
+//   // before the buffer is reached and asserted here): key is strictly
+//   // greater than every key previously appended for key.partition.
+//   void Append(const OpOrderKey& key, V value);
+//
+//   // Removes every element with key <= bound and hands each to
+//   // emit(const OpOrderKey&, V&&) in ascending global (ts, partition)
+//   // order. Returns the number of elements emitted.
+//   template <typename Emit>
+//   std::size_t ExtractUpTo(const OpOrderKey& bound, Emit&& emit);
+//
+//   std::size_t size() const;
+//   bool empty() const;
+//
+// The emit-callback form of ExtractUpTo is deliberate: the caller writes
+// extracted ops straight into its destination (EunomiaCore appends to the
+// sink vector) instead of staging (key, value) pairs in a scratch buffer.
 #pragma once
 
 #include <cassert>

@@ -143,8 +143,8 @@ chaos::InvariantOptions GenerousBound(const chaos::ChaosCluster& cluster,
   chaos::InvariantOptions iopts;
   iopts.staleness_bound_us =
       static_cast<std::uint64_t>(cluster.max_clock_error_us()) +
-      config.delta_us + config.batch_interval_us + config.theta_us +
-      config.rho_us + 100'000;
+      2 * config.batch_interval_us + config.theta_us + config.rho_us +
+      100'000;
   return iopts;
 }
 

@@ -39,6 +39,7 @@
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
 #include "src/wal/log_writer.h"
+#include "tests/manual_environment.h"
 
 namespace eunomia {
 namespace {
@@ -79,8 +80,8 @@ chaos::InvariantOptions GenerousBound(const chaos::ChaosCluster& cluster,
   chaos::InvariantOptions iopts;
   iopts.staleness_bound_us =
       static_cast<std::uint64_t>(cluster.max_clock_error_us()) +
-      config.delta_us + config.batch_interval_us + config.theta_us +
-      config.rho_us + 100'000;
+      2 * config.batch_interval_us + config.theta_us + config.rho_us +
+      100'000;
   return iopts;
 }
 
@@ -539,55 +540,6 @@ TEST(GeoNodeTcpDurable, AppendFailuresAreExportedAndWritesStillReplicate) {
 
 // --- catch-up ordering, step by step -----------------------------------------
 
-// An Environment whose timers wait in a queue the test drains by hand; the
-// local hops run inline (as GeoNode's do) and nothing crosses the WAN.
-class ManualEnvironment final : public geo::rt::Environment {
- public:
-  std::uint64_t Now() const override { return now_us_; }
-  void ScheduleAfter(DatacenterId, std::uint64_t delay_us,
-                     std::function<void()> fn) override {
-    queue_.emplace(std::make_pair(now_us_ + delay_us, next_seq_++),
-                   std::move(fn));
-  }
-  void ClientHop(DatacenterId, std::function<void()> fn) override { fn(); }
-  void RunOnPartition(DatacenterId, PartitionId, std::uint64_t, bool,
-                      std::function<void()> fn) override {
-    fn();
-  }
-  void SendMetadataBatch(DatacenterId, PartitionId,
-                         std::vector<OpRecord>) override {}
-  void SendHeartbeat(DatacenterId, PartitionId, Timestamp) override {}
-  void ChargeEunomia(DatacenterId, std::uint64_t) override {}
-  void SendRemoteMetadata(DatacenterId, DatacenterId,
-                          std::vector<geo::RemoteUpdate>) override {}
-  void SendFrontier(DatacenterId, DatacenterId, Timestamp) override {}
-  void SendPayload(DatacenterId, DatacenterId, PartitionId,
-                   geo::RemotePayload) override {}
-  void SendApply(DatacenterId, PartitionId, std::function<void()> fn) override {
-    fn();
-  }
-
-  // Runs the queued tasks due by now, in (due, seq) order, including the
-  // ones they queue with no delay; the clock does not move. Returns how
-  // many ran.
-  int RunDue() {
-    int ran = 0;
-    while (!queue_.empty() && queue_.begin()->first.first <= now_us_) {
-      std::function<void()> fn = std::move(queue_.begin()->second);
-      queue_.erase(queue_.begin());
-      fn();
-      ++ran;
-    }
-    return ran;
-  }
-
- private:
-  std::uint64_t now_us_ = 1'000'000;
-  std::uint64_t next_seq_ = 0;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::function<void()>>
-      queue_;
-};
-
 // A LinkSeam that is always up and records every frame, both links, in
 // send order.
 struct RecordingSeam final : geo::rt::LinkSeam {
@@ -617,7 +569,7 @@ struct RecordingSeam final : geo::rt::LinkSeam {
 // between two chunks; here one is placed there by hand.
 TEST(PeerLinksCatchUp, LiveMetadataWaitsBehindEveryReplayedChunk) {
   const GeoConfig config = SmallConfig(2, /*scalar=*/false);
-  ManualEnvironment env;
+  testenv::ManualEnvironment env;
   RecordingSeam seam;
   wal::MemDisk disk;
   geo::rt::GeoDurabilityOptions dopts;
@@ -643,7 +595,7 @@ TEST(PeerLinksCatchUp, LiveMetadataWaitsBehindEveryReplayedChunk) {
   }
   const Timestamp above_all = (*runtime.SessionOf(1))[0] + 1'000'000;
   for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
-    runtime.OnHeartbeat(p, above_all);
+    runtime.OnMetadataBatch(p, {}, above_all);
   }
 
   geo::rt::PeerLinks links(geo::rt::PeerLinks::Options{}, &runtime, &env,

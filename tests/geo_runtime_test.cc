@@ -1,12 +1,13 @@
 // Tests for the transport-agnostic geo-replication runtime
 // (src/georep/runtime/):
 //
-//   1. Sim-binding equivalence: the refactored runtime under
-//      rt::SimGeoEnvironment reproduces the pre-refactor monolithic
-//      EunomiaKvSystem bit-for-bit for a fixed seed. The golden numbers
-//      below were captured from the pre-extraction implementation (PR 4
-//      tree) running the exact scenario in this file — including the
-//      simulator's executed-event count, which pins the entire event
+//   1. Sim-binding equivalence: the runtime under rt::SimGeoEnvironment
+//      reproduces a pinned run bit-for-bit for a fixed seed. The goldens
+//      were first captured from the monolithic pre-extraction
+//      EunomiaKvSystem, and re-pinned once when every partition flush
+//      began carrying the partition's clock (the only intended change: one
+//      partition -> Eunomia message per flush, idle or busy). They include
+//      the simulator's executed-event count, which pins the entire event
 //      sequence, and an order-insensitive store digest, which pins the
 //      replicated contents.
 //   2. Receiver edge cases at the runtime seam — duplicate, reordered
@@ -38,7 +39,9 @@
 #include "src/georep/runtime/sim_env.h"
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
+#include "src/store/hash_ring.h"
 #include "src/workload/workload.h"
+#include "tests/manual_environment.h"
 
 namespace eunomia {
 namespace {
@@ -51,7 +54,7 @@ namespace gw = geo::rt::wire;
 namespace nw = net::wire;
 
 // ---------------------------------------------------------------------------
-// 1. Sim-binding equivalence (pinned pre-refactor goldens)
+// 1. Sim-binding equivalence (pinned goldens)
 // ---------------------------------------------------------------------------
 
 std::uint64_t FnvMix(std::uint64_t h, std::uint64_t v) {
@@ -134,52 +137,107 @@ void ExpectVisibility(const geo::VisibilityTracker& tracker,
 TEST(GeoRuntimeSimEquivalence, MatchesPreRefactorGoldenVectorMode) {
   GoldenRun run(/*scalar=*/false);
   const auto& tracker = run.system.tracker();
-  EXPECT_EQ(tracker.reads_completed(), 12387u);
-  EXPECT_EQ(tracker.updates_completed(), 5265u);
+  EXPECT_EQ(tracker.reads_completed(), 12421u);
+  EXPECT_EQ(tracker.updates_completed(), 5275u);
   EXPECT_DOUBLE_EQ(tracker.Throughput(run.measure_from, run.measure_to),
-                   5882.5);
+                   5909.0);
   // The strongest pin: the total number of simulator events executed. Any
   // divergence in scheduling, messaging, or cost charging changes this.
-  EXPECT_EQ(run.sim.executed_events(), 353376u);
+  EXPECT_EQ(run.sim.executed_events(), 442532u);
   EXPECT_EQ(tracker.PendingArrivals(), 0u);
   EXPECT_EQ(tracker.TrackedInstalls(), 0u);
 
-  const std::array<std::uint64_t, 3> applied = {3529, 3477, 3524};
-  const std::array<std::uint64_t, 3> emitted = {1736, 1788, 1741};
+  const std::array<std::uint64_t, 3> applied = {3530, 3483, 3537};
+  const std::array<std::uint64_t, 3> emitted = {1745, 1792, 1738};
   for (DatacenterId d = 0; d < 3; ++d) {
     EXPECT_EQ(run.system.ReceiverAt(d).applied_count(), applied[d]) << d;
     EXPECT_EQ(run.system.ReceiverAt(d).duplicate_count(), 0u) << d;
     EXPECT_EQ(run.system.EunomiaAt(d).ops_emitted(), emitted[d]) << d;
     std::size_t size = 0;
-    EXPECT_EQ(StoreDigest(run.system, d, 4, &size), 12613325128148312392ULL)
+    EXPECT_EQ(StoreDigest(run.system, d, 4, &size), 6577224577280391101ULL)
         << d;
     EXPECT_EQ(size, 500u) << d;
   }
-  ExpectVisibility(tracker, 0, 1, 1736u, 5763799u, 3327u);
-  ExpectVisibility(tracker, 1, 2, 1788u, 6440481u, 3647u);
+  ExpectVisibility(tracker, 0, 1, 1745u, 4573467u, 2687u);
+  ExpectVisibility(tracker, 1, 2, 1792u, 5443569u, 3135u);
 }
 
 TEST(GeoRuntimeSimEquivalence, MatchesPreRefactorGoldenScalarMode) {
   GoldenRun run(/*scalar=*/true);
   const auto& tracker = run.system.tracker();
-  EXPECT_EQ(tracker.reads_completed(), 12378u);
-  EXPECT_EQ(tracker.updates_completed(), 5256u);
+  EXPECT_EQ(tracker.reads_completed(), 12422u);
+  EXPECT_EQ(tracker.updates_completed(), 5279u);
   EXPECT_DOUBLE_EQ(tracker.Throughput(run.measure_from, run.measure_to),
-                   5879.0);
-  EXPECT_EQ(run.sim.executed_events(), 448524u);
-  const std::array<std::uint64_t, 3> applied = {3533, 3463, 3516};
-  const std::array<std::uint64_t, 3> emitted = {1723, 1793, 1740};
+                   5905.0);
+  EXPECT_EQ(run.sim.executed_events(), 538075u);
+  const std::array<std::uint64_t, 3> applied = {3563, 3443, 3552};
+  const std::array<std::uint64_t, 3> emitted = {1716, 1836, 1727};
   for (DatacenterId d = 0; d < 3; ++d) {
     EXPECT_EQ(run.system.ReceiverAt(d).applied_count(), applied[d]) << d;
     EXPECT_EQ(run.system.EunomiaAt(d).ops_emitted(), emitted[d]) << d;
     std::size_t size = 0;
-    EXPECT_EQ(StoreDigest(run.system, d, 4, &size), 7369893057614894880ULL)
+    EXPECT_EQ(StoreDigest(run.system, d, 4, &size), 11450767450000561064ULL)
         << d;
     EXPECT_EQ(size, 500u) << d;
   }
   // The scalar false-dependency floor: dc0 -> dc1 visibility is dominated
   // by the farthest leg (~40 ms), an order of magnitude above vector mode.
-  ExpectVisibility(tracker, 0, 1, 1723u, 77350218u, 45055u);
+  ExpectVisibility(tracker, 0, 1, 1716u, 75705020u, 44031u);
+}
+
+// ---------------------------------------------------------------------------
+// 1b. Every partition flush reports the partition's clock
+// ---------------------------------------------------------------------------
+
+// Partition A installs early in an interval and partition B of the same
+// datacenter later in it. Each flush carries its partition's clock, so the
+// flush turn moves A's PartitionTime entry past B's op and the stabilizer
+// tick of that turn ships both. A flush that reported only its batch's last
+// op would pin A's entry at A's op and hold B back one more interval.
+TEST(GeoRuntimeFlush, SiblingUpdateShipsInTheTickOfItsFlush) {
+  GeoConfig config;
+  config.num_dcs = 2;
+  config.partitions_per_dc = 2;
+  config.servers_per_dc = 1;
+  config.batch_interval_us = 1000;
+  config.theta_us = 1000;
+  testenv::ManualEnvironment env;
+  geo::VisibilityTracker tracker;
+  geo::rt::UidAllocator uids(0, 1);
+  geo::rt::SessionMap sessions;
+  geo::rt::DatacenterRuntime dc(
+      0, config, &env, &tracker, &uids, &sessions,
+      std::vector<PhysicalClock>(config.partitions_per_dc));
+  env.Attach(&dc);
+
+  // One key on each partition, by the runtime's own routing.
+  const store::ConsistentHashRing router(config.partitions_per_dc);
+  const Key key_a = 0;
+  Key key_b = 1;
+  while (router.Responsible(key_b) == router.Responsible(key_a)) {
+    ++key_b;
+  }
+
+  const std::uint64_t start = env.Now();
+  dc.StartTimers();  // both flushes, then the stabilizer, at start + 1000
+  env.AdvanceTo(start + 100);
+  dc.ClientUpdate(/*client=*/1, key_a, "a", [] {});
+  env.AdvanceTo(start + 200);
+  dc.ClientUpdate(/*client=*/2, key_b, "b", [] {});
+  const Timestamp ts_a = (*dc.SessionOf(1))[0];
+  const Timestamp ts_b = (*dc.SessionOf(2))[0];
+  ASSERT_LT(ts_a, ts_b);
+  EXPECT_TRUE(env.shipped().empty());
+
+  env.AdvanceTo(start + config.batch_interval_us);  // the flush turn
+  EXPECT_GE(dc.eunomia().StableTime(), ts_b);
+  ASSERT_EQ(env.shipped().size(), 1u) << "B held back past its flush tick";
+  const auto& first = env.shipped()[0];
+  EXPECT_EQ(first.at_us, start + config.theta_us);
+  EXPECT_EQ(first.to, 1u);
+  ASSERT_EQ(first.batch.size(), 2u);
+  EXPECT_EQ(first.batch[0].key, key_a);
+  EXPECT_EQ(first.batch[1].key, key_b);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +353,6 @@ GeoConfig SmallRealConfig() {
   config.servers_per_dc = 1;
   config.batch_interval_us = 200;
   config.theta_us = 200;
-  config.delta_us = 200;
   config.rho_us = 200;
   return config;
 }

@@ -65,17 +65,31 @@ TEST(PartitionedHybridClockTest, NoCollisionsAcrossPartitionsEver) {
   }
 }
 
-TEST(PartitionedHybridClockTest, HeartbeatGateAndValue) {
+// Every flush reports HeartbeatValue(now) with its batch: the frontier must
+// sit above the batch's last op and below the partition's next update, even
+// when the flush lands in the microsecond of the last update or the next.
+TEST(PartitionedHybridClockTest, FlushFrontierSitsBetweenBatchAndNextUpdate) {
   PartitionedHybridClock clock(2, 8);
-  const Timestamp ts = clock.TimestampUpdate(1000, 0);
-  // Not due immediately after an update with delta 50 us.
-  EXPECT_FALSE(clock.HeartbeatDue(1000, 50));
-  EXPECT_TRUE(clock.HeartbeatDue(1100, 50));
+  clock.TimestampUpdate(1000, 0);
+  const Timestamp last = clock.TimestampUpdate(1000, 0);
+  // A flush in the same microsecond as the batch's last op.
+  const Timestamp same_us = clock.HeartbeatValue(1000);
+  EXPECT_GT(same_us, last);
+  EXPECT_EQ(same_us % 8, 2u);
+  // Back-to-back flushes with no update between them stay monotone.
+  EXPECT_GT(clock.HeartbeatValue(1000), same_us);
   const Timestamp hb = clock.HeartbeatValue(1100);
-  EXPECT_GT(hb, ts);
+  EXPECT_GT(hb, same_us);
   EXPECT_EQ(hb % 8, 2u);
-  // An update in the same microsecond still exceeds the heartbeat.
-  EXPECT_GT(clock.TimestampUpdate(1100, 0), hb);
+  // An update in the same microsecond still exceeds the frontier.
+  const Timestamp next = clock.TimestampUpdate(1100, 0);
+  EXPECT_GT(next, hb);
+  // A physical clock behind a client-bumped MaxTs: the frontier moves past
+  // the logical value instead of reporting the stale reading.
+  const Timestamp bumped = clock.TimestampUpdate(1100, 50'000);
+  const Timestamp behind = clock.HeartbeatValue(1100);
+  EXPECT_GT(behind, bumped);
+  EXPECT_GT(clock.TimestampUpdate(1100, 0), behind);
 }
 
 TEST(PartitionedHybridClockTest, SkewedClientNeverBlocks) {

@@ -1,7 +1,8 @@
 // AvlBuffer — the §6 also-ran self-balancing tree behind the OrderedBuffer
-// concept (src/ordbuf/ordered_buffer.h), kept so ablation A1 can reproduce
-// the paper's red-black-vs-AVL design-choice measurement on the real access
-// pattern. AvlTree has no hinted insert; every append pays the root descent.
+// concept (src/ordbuf/partition_run_buffer.h), kept so ablation A1 can
+// reproduce the paper's red-black-vs-AVL design-choice measurement on the
+// real access pattern. AvlTree has no hinted insert; every append pays the
+// root descent.
 #pragma once
 
 #include <cassert>

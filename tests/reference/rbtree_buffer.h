@@ -1,5 +1,5 @@
 // RbTreeBuffer — the paper's §6 red-black tree behind the OrderedBuffer
-// concept (src/ordbuf/ordered_buffer.h).
+// concept (src/ordbuf/partition_run_buffer.h).
 //
 // Appends go through the hinted run-insert path with one persistent hint per
 // partition: Property 2 makes each partition's stream an ascending run, so
