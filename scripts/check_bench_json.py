@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Checks that every committed BENCH_*.json at the repo root is a full run
 of a Release build with the lock-rank detector compiled out, from a known
-commit.
+commit, and that no committed series row records a failed run.
 
 A number measured with the detector armed, or on a smoke load, measures
 the wrong thing, so a committed file that says so is a failure. The
 provenance keys are the ones bench/bench_json.h and perfbench both write.
+A row that records a failure fails the check too: a nemesis sweep row must
+report violating_seeds == 0 and a TCP row converged == 1.
 
 Usage: check_bench_json.py [REPO_ROOT]   (default: this script's repo)
 Exits 0 when every file passes, 1 otherwise, naming each problem.
@@ -44,6 +46,22 @@ def problems_of(path):
                      provenance.get("lock_rank_checks"))
     if provenance.get("source", "unknown") == "unknown":
         found.append("source commit is unknown")
+    return found + failed_rows(doc.get("series"))
+
+
+def failed_rows(series):
+    """Names every series row that records a failed run."""
+    found = []
+    for i, row in enumerate(series if isinstance(series, list) else []):
+        if not isinstance(row, dict):
+            continue
+        if "violating_seeds" in row and row["violating_seeds"] != 0:
+            found.append("series[%d] has violating_seeds %r, not 0" %
+                         (i, row["violating_seeds"]))
+        if row.get("transport") == "tcp" and "converged" in row and \
+                row["converged"] != 1:
+            found.append("series[%d] has converged %r, not 1" %
+                         (i, row["converged"]))
     return found
 
 

@@ -61,16 +61,16 @@ void ChaosCluster::Build(DatacenterId dc) {
   runtimes_[dc] = std::make_unique<DatacenterRuntime>(
       dc, options_.config, &env_, &tracker_, &uids_[dc], &sessions_[dc],
       DrawClocks(), durability_[dc].get());
-  // Sessions live client-side here, so snapshots carry none.
   links_[dc] = std::make_unique<PeerLinks>(
       PeerLinks::Options{}, runtimes_[dc].get(), &env_, &env_,
-      durability_[dc].get(), /*sessions=*/nullptr, /*replayed_frames=*/nullptr);
+      durability_[dc].get(), /*replayed_frames=*/nullptr);
 }
 
 void ChaosCluster::Boot(DatacenterId dc) {
   if (options_.durable) {
     // Before the dials, so the hellos name the recovered frontier (a fresh
     // disk recovers to an empty world and opens the log writers).
+    // Sessions live client-side here, so snapshots carry none.
     durability_[dc]->Recover(runtimes_[dc].get(), /*sessions=*/nullptr);
   }
   for (DatacenterId peer = 0; peer < options_.config.num_dcs; ++peer) {

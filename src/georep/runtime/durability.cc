@@ -106,6 +106,8 @@ bool DecodeMetaRecord(std::string_view bytes, std::uint32_t num_dcs,
   return reader.done();
 }
 
+// A decoded snapshot record, for Recover (Snapshot encodes straight from
+// the runtime).
 struct SnapshotState {
   VectorTimestamp site_time;
   std::vector<Timestamp> clock_marks;                       // per partition
@@ -114,30 +116,61 @@ struct SnapshotState {
   std::vector<std::vector<std::pair<Key, GeoVersion>>> stores;
 };
 
-std::string EncodeSnapshot(const SnapshotState& snap, std::uint32_t num_dcs,
-                           std::uint32_t partitions) {
+// The framed kGeoSnapshotRecord, encoded straight from the live state into
+// its one buffer: a first pass sizes it, the body (DecodeSnapshot's layout)
+// goes in behind a header hole, and the header is filled in last. No store
+// copy and no second string.
+std::string FrameSnapshot(const VectorTimestamp& site_time,
+                          const std::vector<Timestamp>& clock_marks,
+                          const SessionMap* sessions,
+                          const DatacenterRuntime& runtime) {
+  const std::uint32_t num_dcs = static_cast<std::uint32_t>(site_time.size());
+  const std::uint32_t partitions =
+      static_cast<std::uint32_t>(clock_marks.size());
+  const std::size_t vts_bytes = 8u * num_dcs;
+  const std::size_t num_sessions = sessions != nullptr ? sessions->size() : 0;
+  std::size_t bytes = wal::kRecordHeaderBytes + 4 + vts_bytes + 4 +
+                      8u * partitions + 4 + num_sessions * (8 + vts_bytes);
+  for (PartitionId p = 0; p < partitions; ++p) {
+    bytes += 4;
+    runtime.StoreAt(p).ForEach([&](Key, const GeoVersion& version) {
+      bytes += 8 + 4 + vts_bytes + 4 + version.value.size();
+    });
+  }
   std::string out;
+  out.reserve(bytes);
+  out.append(wal::kRecordHeaderBytes, '\0');
+
   io::PutU32(&out, num_dcs);
-  PutVts(&out, snap.site_time);
+  PutVts(&out, site_time);
   io::PutU32(&out, partitions);
-  for (const Timestamp mark : snap.clock_marks) {
+  for (const Timestamp mark : clock_marks) {
     io::PutU64(&out, mark);
   }
-  io::PutU32(&out, static_cast<std::uint32_t>(snap.sessions.size()));
-  for (const auto& [client, vts] : snap.sessions) {
-    io::PutU64(&out, client);
-    PutVts(&out, vts);
+  io::PutU32(&out, static_cast<std::uint32_t>(num_sessions));
+  if (sessions != nullptr) {
+    for (const auto& [client, vts] : *sessions) {
+      io::PutU64(&out, client);
+      PutVts(&out, vts);
+    }
   }
-  for (const auto& store : snap.stores) {
+  for (PartitionId p = 0; p < partitions; ++p) {
+    const GeoStore& store = runtime.StoreAt(p);
     io::PutU32(&out, static_cast<std::uint32_t>(store.size()));
-    for (const auto& [key, version] : store) {
+    store.ForEach([&out](Key key, const GeoVersion& version) {
       io::PutU64(&out, key);
       io::PutU32(&out, version.origin);
       PutVts(&out, version.vts);
       io::PutU32(&out, static_cast<std::uint32_t>(version.value.size()));
       out += version.value;
-    }
+    });
   }
+  assert(out.size() == bytes);
+
+  char header[wal::kRecordHeaderBytes];
+  wal::BuildRecordHeader(header, GeoDurability::kGeoSnapshotRecord,
+                         std::string_view(out).substr(wal::kRecordHeaderBytes));
+  std::copy(header, header + wal::kRecordHeaderBytes, out.begin());
   return out;
 }
 
@@ -195,6 +228,7 @@ bool DecodeSnapshot(const std::string& bytes, std::uint32_t num_dcs,
 
 GeoDurability::GeoDurability(GeoDurabilityOptions options)
     : options_(options),
+      synced_site_time_(options.num_dcs),
       install_logs_(options.partitions),
       local_ts_mark_(options.partitions, 0) {
   assert(options_.disk != nullptr);
@@ -253,6 +287,8 @@ void GeoDurability::OnInboundPayload(PartitionId partition,
 }
 
 void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
+  runtime_ = runtime;
+  sessions_ = sessions;
   recovering_ = true;
 
   // --- snapshot --------------------------------------------------------------
@@ -423,30 +459,11 @@ bool GeoDurability::SnapshotDue() const {
              options_.snapshot_interval_bytes;
 }
 
-void GeoDurability::Snapshot(const DatacenterRuntime& runtime,
-                             const SessionMap* sessions,
-                             Timestamp install_truncate_mark) {
+void GeoDurability::Snapshot(Timestamp install_truncate_mark) {
   assert(inbound_log_ != nullptr);
-  SnapshotState snap;
-  snap.site_time = runtime.receiver().site_time();
-  snap.clock_marks = local_ts_mark_;
-  if (sessions != nullptr) {
-    snap.sessions.reserve(sessions->size());
-    for (const auto& [client, vts] : *sessions) {
-      snap.sessions.emplace_back(client, vts);
-    }
-  }
-  snap.stores.resize(options_.partitions);
-  for (PartitionId p = 0; p < options_.partitions; ++p) {
-    auto& store = snap.stores[p];
-    runtime.StoreAt(p).ForEach([&store](Key key, const GeoVersion& version) {
-      store.emplace_back(key, version);
-    });
-  }
-
-  std::string framed;
-  wal::AppendRecord(&framed, kGeoSnapshotRecord,
-                    EncodeSnapshot(snap, options_.num_dcs, options_.partitions));
+  const VectorTimestamp site_time = runtime_->receiver().site_time();
+  const std::string framed =
+      FrameSnapshot(site_time, local_ts_mark_, sessions_, *runtime_);
   // Snapshot FIRST, truncate after: if the crash lands between the two, the
   // logs still hold everything the snapshot also covers (replay dedups). The
   // reverse order could truncate entries the snapshot never captured.
@@ -456,7 +473,6 @@ void GeoDurability::Snapshot(const DatacenterRuntime& runtime,
   }
   ++snapshots_taken_;
 
-  const VectorTimestamp& site_time = snap.site_time;
   inbound_log_->Compact([this, &site_time](const wal::RecordView& record) {
     if (record.type == kInboundMetaRecord) {
       std::vector<RemoteUpdate> batch;
@@ -502,14 +518,28 @@ void GeoDurability::Snapshot(const DatacenterRuntime& runtime,
   bytes_at_last_snapshot_ = BytesLogged();
 }
 
+const VectorTimestamp& GeoDurability::synced_site_time() const {
+  assert(runtime_ != nullptr);
+  return options_.fsync == wal::FsyncPolicy::kPerCommit
+             ? runtime_->receiver().site_time()
+             : synced_site_time_;
+}
+
 void GeoDurability::Flush() {
   if (inbound_log_ == nullptr) {
     return;
   }
+  bool synced = true;
   for (auto& log : install_logs_) {
-    log->Flush();
+    synced = log->Flush() && synced;
   }
-  inbound_log_->Flush();
+  synced = inbound_log_->Flush() && synced;
+  // Every inbound record the receiver has applied is on stable storage now,
+  // so a replay reaches at least this SiteTime. Under kOff Flush syncs
+  // nothing and the value stays 0.
+  if (synced && options_.fsync == wal::FsyncPolicy::kInterval) {
+    synced_site_time_ = runtime_->receiver().site_time();
+  }
 }
 
 }  // namespace eunomia::geo::rt

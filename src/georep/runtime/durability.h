@@ -1,15 +1,25 @@
 // GeoDurability — per-datacenter write-ahead logging, snapshots and crash
-// recovery for the geo-replication runtime.
+// recovery for the geo-replication runtime, and the one module that knows
+// the fsync policy.
 //
 // What survives a kill -9 (given the fsync policy honored it):
 //   - every locally installed update, logged via DurabilityHooks::
 //     OnLocalInstall *before* its payload fans out to any peer;
 //   - every accepted inbound metadata batch and payload, logged before the
 //     receiver/partition processes it — so the applied frontier (SiteTime)
-//     a replay reconstructs is always >= the pre-crash one under
-//     FsyncPolicy::kPerCommit;
+//     a replay reconstructs is always >= the one the synced prefix of the
+//     log had applied;
 //   - the latest snapshot: store contents, receiver SiteTime, client
 //     session vclocks, and per-partition local-timestamp high-water marks.
+//
+// The durability rule: synced_site_time() is the receiver's SiteTime as of
+// the last real sync, so a crash at any moment recovers at least that much.
+// Under kPerCommit every append is synced before it returns, so it is the
+// live SiteTime; under kInterval it is the SiteTime sampled at each
+// successful Flush(); under kOff it stays 0. It is everything a node may
+// promise its peers (PeerLinks sends it as the hello's resume_from and in
+// the periodic kGeoAck), and the peers' acks are what lets a node truncate
+// its install logs.
 //
 // File layout on the Disk (all paths relative to the disk root):
 //   install-p<P>   one log per partition: kInstallRecord entries in local
@@ -36,8 +46,9 @@
 // partial or bit-flipped final record on disk.
 //
 // Threading: single caller, like the runtime it serves. Appends are inline
-// (wal::LogWriter), so the simulator stays deterministic; under kInterval
-// the caller calls Flush() every wal::kFsyncIntervalUs (PeerLinks does).
+// (wal::LogWriter), so the simulator stays deterministic; the caller calls
+// Flush() every wal::kFsyncIntervalUs (PeerLinks does), which is kInterval's
+// time bound and a no-op under the other policies.
 #pragma once
 
 #include <cstdint>
@@ -117,10 +128,15 @@ class GeoDurability final : public DurabilityHooks {
 
   // Repairs the logs, restores the snapshot and replays everything into
   // `runtime`. Call once, on a fresh runtime constructed with this object
-  // as its hooks, before StartTimers. `sessions` may be null when session
-  // state lives outside the crashed process (the sim harness's client-side
-  // vclocks).
+  // as its hooks, before StartTimers; this object then serves `runtime`
+  // and `sessions` (both borrowed) for good. `sessions` may be null when
+  // session state lives outside the crashed process (the sim harness's
+  // client-side vclocks).
   void Recover(DatacenterRuntime* runtime, SessionMap* sessions);
+
+  // The receiver's SiteTime as of the last sync; see the file comment.
+  // Call after Recover.
+  const VectorTimestamp& synced_site_time() const;
 
   // DurabilityHooks (no-ops while Recover is replaying).
   void OnLocalInstall(PartitionId partition,
@@ -136,17 +152,15 @@ class GeoDurability final : public DurabilityHooks {
   static std::string InstallLogName(PartitionId p);
 
   bool SnapshotDue() const;
-  // Snapshots `runtime` (+ `sessions` if non-null) and truncates the logs;
+  // Snapshots the runtime (+ the sessions, if any) and truncates the logs;
   // see the file comment for the install_truncate_mark contract.
-  void Snapshot(const DatacenterRuntime& runtime, const SessionMap* sessions,
-                Timestamp install_truncate_mark);
+  void Snapshot(Timestamp install_truncate_mark);
 
   // Syncs everything logged so far, unless the policy is kOff. Clean
   // shutdowns call it, and so does the kInterval time bound; a kill -9
   // never reaches it.
   void Flush();
 
-  wal::FsyncPolicy fsync() const { return options_.fsync; }
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
   std::uint64_t append_failures() const { return append_failures_; }
 
@@ -156,6 +170,11 @@ class GeoDurability final : public DurabilityHooks {
   std::uint64_t BytesLogged() const;  // by every log writer, ever
 
   const GeoDurabilityOptions options_;
+  // Bound by Recover.
+  const DatacenterRuntime* runtime_ = nullptr;
+  const SessionMap* sessions_ = nullptr;
+  // kInterval: SiteTime at the last successful Flush. kOff: all zero.
+  VectorTimestamp synced_site_time_;
   std::vector<std::unique_ptr<wal::LogWriter>> install_logs_;  // per partition
   std::unique_ptr<wal::LogWriter> inbound_log_;
   // Per-partition max local timestamp ever logged: snapshotted so truncated

@@ -95,7 +95,7 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
       &uids_, &sessions_, std::move(clocks), durability_.get());
   links_ = std::make_unique<PeerLinks>(
       options_, runtime_.get(), static_cast<Environment*>(this),
-      static_cast<LinkSeam*>(this), durability_.get(), &sessions_,
+      static_cast<LinkSeam*>(this), durability_.get(),
       telemetry_ != nullptr ? telemetry_->replayed_frames.get() : nullptr);
   if (durability_ != nullptr) {
     // Pre-Start, so the remote applies recovery replays run inline on the

@@ -49,7 +49,7 @@ namespace eunomia::geo::rt {
 
 class GeoNode final : private Environment, private LinkSeam {
  public:
-  // The link settings (re-dial backoff, ack period) are PeerLinks'.
+  // The link settings (re-dial backoff) are PeerLinks'.
   struct Options : PeerLinks::Options {
     DatacenterId dc = 0;
     // Deployment shape + protocol timers; the simulator-only knobs (costs,

@@ -65,8 +65,9 @@ struct GeoPayloadMsg {
 // Periodic durably-applied ack, sent by datacenter `dc` on its outbound
 // metadata link: "of YOUR updates I have durably applied up to `applied`".
 // The receiving peer replays to `dc` only above it, and may truncate its
-// install WAL once every peer's mark passed. Only fsync-per-commit nodes
-// ack: an ack must never let a peer skip frames the acker could lose.
+// install WAL once every peer's mark passed. An ack must never let a peer
+// skip frames the acker could lose, so `applied` is what the acker has
+// synced (GeoDurability::synced_site_time), under every fsync policy.
 struct GeoAckMsg {
   DatacenterId dc = 0;          // the acking (sending) datacenter
   std::uint64_t applied = 0;    // durable SiteTime component for the peer

@@ -12,6 +12,8 @@ namespace {
 
 // How often a durable node checks whether a snapshot is due.
 constexpr std::uint64_t kSnapshotCheckIntervalUs = 250'000;
+// Period of the durably-applied-frontier acks.
+constexpr std::uint64_t kAckIntervalUs = 100'000;
 // Installs one catch-up chunk replays: at most this many payload frames
 // plus one metadata frame per turn, so a queued client op waits for one
 // chunk, never for the whole replay.
@@ -21,7 +23,7 @@ constexpr std::size_t kCatchUpInstallsPerTurn = 64;
 
 PeerLinks::PeerLinks(const Options& options, DatacenterRuntime* runtime,
                      Environment* env, LinkSeam* seam,
-                     GeoDurability* durability, SessionMap* sessions,
+                     GeoDurability* durability,
                      metrics::Counter* replayed_frames)
     : options_(options),
       dc_(runtime->id()),
@@ -31,7 +33,6 @@ PeerLinks::PeerLinks(const Options& options, DatacenterRuntime* runtime,
       env_(env),
       seam_(seam),
       durability_(durability),
-      sessions_(sessions),
       replayed_frames_(replayed_frames),
       peers_(num_dcs_) {}
 
@@ -41,12 +42,10 @@ bool PeerLinks::Dial(DatacenterId peer) {
   hello.dc = dc_;
   hello.num_dcs = num_dcs_;
   hello.partitions = partitions_;
-  if (durability_ != nullptr &&
-      durability_->fsync() == wal::FsyncPolicy::kPerCommit) {
-    // Under fsync-per-commit every applied inbound record hit stable
-    // storage first, so SiteTime is a durable frontier. A WAL-less node (or
-    // a lazier policy, which can lose a synced-looking tail) sends 0.
-    hello.resume_from = runtime_->receiver().site_time()[peer];
+  if (durability_ != nullptr) {
+    // What a crash would recover of the peer's updates; a WAL-less node
+    // sends 0.
+    hello.resume_from = durability_->synced_site_time()[peer];
   }
   return seam_->Dial(dc_, peer, hello);
 }
@@ -63,26 +62,22 @@ void PeerLinks::Start() {
   if (durability_ == nullptr) {
     return;
   }
-  if (durability_->fsync() == wal::FsyncPolicy::kPerCommit) {
-    // Acks promise a durable applied frontier: sound only per-commit.
-    Every(options_.ack_interval_us, [this] {
-      const VectorTimestamp& site_time = runtime_->receiver().site_time();
-      for (DatacenterId peer = 0; peer < num_dcs_; ++peer) {
-        if (peers_[peer].dialed && !peers_[peer].down) {
-          SendToPeer(peer, nw::MsgType::kGeoAck,
-                     gw::EncodeGeoAck({dc_, site_time[peer]}));
-        }
+  // The time bound of an interval fsync, so a quiet node cannot hold an
+  // install un-synced indefinitely; each flush also advances what the acks
+  // may promise. A no-op when nothing is un-synced.
+  Every(wal::kFsyncIntervalUs, [this] { durability_->Flush(); });
+  Every(kAckIntervalUs, [this] {
+    const VectorTimestamp& synced = durability_->synced_site_time();
+    for (DatacenterId peer = 0; peer < num_dcs_; ++peer) {
+      if (peers_[peer].dialed && !peers_[peer].down) {
+        SendToPeer(peer, nw::MsgType::kGeoAck,
+                   gw::EncodeGeoAck({dc_, synced[peer]}));
       }
-    });
-  }
-  if (durability_->fsync() == wal::FsyncPolicy::kInterval) {
-    // Appends only sync by bytes; this is the time half of kInterval, so a
-    // quiet node cannot hold an install un-synced indefinitely.
-    Every(wal::kFsyncIntervalUs, [this] { durability_->Flush(); });
-  }
+    }
+  });
   Every(kSnapshotCheckIntervalUs, [this] {
     if (durability_->SnapshotDue()) {
-      durability_->Snapshot(*runtime_, sessions_, InstallTruncateMark());
+      durability_->Snapshot(InstallTruncateMark());
     }
   });
 }

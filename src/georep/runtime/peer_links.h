@@ -5,14 +5,19 @@
 // (kGeoPayload). Per peer, PeerLinks runs:
 //   - dial: both links open with a kGeoHello; the metadata link's carries
 //     resume_from, this node's durably applied frontier of the peer's
-//     updates (fsync-per-commit only), which the peer's replay skips;
+//     updates (GeoDurability::synced_site_time, 0 without a WAL), which
+//     the peer's replay skips;
 //   - catch-up: whenever the links come up (Start, re-dial), replay every
 //     install-WAL record above what the peer durably acked — payloads for
 //     all, metadata up to the horizon — one bounded chunk per turn, while
 //     live metadata-link frames wait on a hold list behind the replay;
 //   - link down: drop the links and the replay, re-dial with backoff;
-//   - durable duties: ack the applied frontier, snapshot with the install
-//     truncation mark, and bound kInterval's un-synced bytes by time.
+//   - durable duties: flush the WAL every wal::kFsyncIntervalUs (the time
+//     bound of an interval fsync), ack the durably applied frontier, and
+//     snapshot with the install truncation mark.
+// What is durable is GeoDurability's one rule, under every fsync policy:
+// the hello and the acks carry only what a crash would recover, so a peer
+// truncates its install logs only below state this node has synced.
 // Inbound, it validates each link's frames and hands them to the runtime.
 //
 // GeoNode binds the seam to net::Transport connections on its EventLoop;
@@ -68,8 +73,6 @@ class PeerLinks {
     // may come back at any time; Stop ends them).
     std::uint32_t reconnect_backoff_ms = 50;
     std::uint32_t reconnect_backoff_max_ms = 1000;
-    // Period of the durable applied-frontier acks (fsync-per-commit only).
-    std::uint64_t ack_interval_us = 100'000;
   };
 
   // The receiving side of one link, kept by the binding per connection.
@@ -86,11 +89,12 @@ class PeerLinks {
   };
 
   // `durability` null: a WAL-less node (no catch-up source, acks or
-  // snapshots). `sessions` may be null; `replayed_frames`, when set, counts
-  // every frame a catch-up sends. All borrowed; must outlive this object.
+  // snapshots); otherwise it has recovered `runtime` before Dial.
+  // `replayed_frames`, when set, counts every frame a catch-up sends. All
+  // borrowed; must outlive this object.
   PeerLinks(const Options& options, DatacenterRuntime* runtime,
             Environment* env, LinkSeam* seam, GeoDurability* durability,
-            SessionMap* sessions, metrics::Counter* replayed_frames);
+            metrics::Counter* replayed_frames);
 
   PeerLinks(const PeerLinks&) = delete;
   PeerLinks& operator=(const PeerLinks&) = delete;
@@ -175,7 +179,6 @@ class PeerLinks {
   Environment* const env_;
   LinkSeam* const seam_;
   GeoDurability* const durability_;
-  SessionMap* const sessions_;
   metrics::Counter* const replayed_frames_;
   std::vector<Peer> peers_;  // indexed by DatacenterId; [dc_] unused
   std::atomic<bool> stopped_{false};

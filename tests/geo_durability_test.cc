@@ -9,12 +9,14 @@
 // Everything under the sim binding is deterministic: fixed seeds, inline
 // log writers, and a fault-injecting FaultyDisk whose torn writes and bit
 // flips replay bit-for-bit from the seed.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -40,6 +42,13 @@
 #include "src/wal/disk.h"
 #include "src/wal/log_writer.h"
 #include "tests/manual_environment.h"
+
+namespace eunomia::wal {
+// Parameterized test names and listings show the policy by name.
+void PrintTo(FsyncPolicy policy, std::ostream* os) {
+  *os << FsyncPolicyName(policy);
+}
+}  // namespace eunomia::wal
 
 namespace eunomia {
 namespace {
@@ -259,13 +268,30 @@ TEST(GeoDurableWire, HelloCarriesResumeFromAndAckRoundTrips) {
 
 // --- real-TCP GeoNode binding: durable kill/restart --------------------------
 
+// Bytes held by dc's install logs on `disk`, one log per partition.
+std::size_t InstallLogBytes(wal::Disk* disk, std::uint32_t partitions) {
+  std::size_t bytes = 0;
+  for (PartitionId p = 0; p < partitions; ++p) {
+    std::string log;
+    if (disk->ReadAll(geo::rt::GeoDurability::InstallLogName(p), &log)) {
+      bytes += log.size();
+    }
+  }
+  return bytes;
+}
+
 // Both nodes log to in-memory disks that survive the "process". The peer is
 // killed (destroyed without a clean stop, disk crash drops its un-synced
 // suffix), rebooted on the same disk and address, and must converge again.
 // Along the way the peer's durable acks let the survivor compact its
 // install logs — the logs it replays catch-up from, so that compaction is
-// what bounds catch-up storage.
-TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
+// what bounds catch-up storage. Under every policy that syncs, acks flow
+// and the logs shrink.
+class GeoNodeTcpDurableFsync
+    : public ::testing::TestWithParam<wal::FsyncPolicy> {};
+
+TEST_P(GeoNodeTcpDurableFsync,
+       KillRestartOnSurvivingDiskConvergesAndTruncates) {
   using geo::rt::GeoNode;
   GeoConfig config = SmallConfig(2, false);
 
@@ -278,7 +304,7 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   options0.reconnect_backoff_ms = 20;
   options0.reconnect_backoff_max_ms = 100;
   options0.durability_disk = &disk0;
-  options0.ack_interval_us = 25'000;  // acks flow quickly in a short test
+  options0.fsync = GetParam();
   GeoNode::Options options1 = options0;
   options1.dc = 1;
   options1.durability_disk = &disk1;
@@ -323,7 +349,7 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   EXPECT_GT(applied, 0u) << "no durable ack ever arrived";
 
   // Kill -9: destroy the node mid-traffic, then drop everything its disk
-  // had not fsync'd. Under kPerCommit every acked install survives.
+  // had not fsync'd. Every acked install survives: acks name synced state.
   node1.reset();
   transport1.reset();
   disk1.Crash();
@@ -336,29 +362,22 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   node1->Start();
 
   // The truncation contract: once acks arrived, node0's snapshots drop
-  // installs every peer durably holds, so its install logs keep fewer
-  // installs than it ever made. Writes keep flowing until a snapshot (due
-  // every 1 MiB of log) has compacted them.
-  std::size_t logged = 0;
-  std::uint64_t installed = 0;
+  // installs every peer durably holds, so its install logs shrink. Writes
+  // keep flowing until a snapshot (due every 1 MiB of log) has compacted
+  // them; without truncation the logs only ever grow.
+  std::size_t peak_bytes = 0;
+  std::size_t bytes = 0;
   const auto compact_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (std::chrono::steady_clock::now() < compact_deadline) {
-    node0->RunBlocking([&] {
-      geo::rt::InstallCursor cursor = node0->durability()->ReadInstalls(0);
-      PartitionId partition = 0;
-      geo::RemotePayload payload;
-      for (logged = 0; !cursor.done();) {
-        logged += cursor.Next(&partition, &payload) ? 1 : 0;
-      }
-      installed = node0->runtime().updates_installed();
-    });
-    if (logged < installed) {
+    bytes = InstallLogBytes(&disk0, config.partitions_per_dc);
+    peak_bytes = std::max(peak_bytes, bytes);
+    if (bytes < peak_bytes) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  EXPECT_LT(logged, installed)
+  EXPECT_LT(bytes, peak_bytes)
       << "node0's install logs were never compacted below the acked frontier";
   stop.store(true);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -398,6 +417,11 @@ TEST(GeoNodeTcpDurable, KillRestartOnSurvivingDiskConvergesAndTruncates) {
   // cycle so it can be reclaimed.
   *issue = nullptr;
 }
+
+INSTANTIATE_TEST_SUITE_P(Fsync, GeoNodeTcpDurableFsync,
+                         ::testing::Values(wal::FsyncPolicy::kPerCommit,
+                                           wal::FsyncPolicy::kInterval),
+                         ::testing::PrintToStringParamName());
 
 // fsync=interval bounds un-synced bytes by time, not only by volume: a quiet
 // node whose one install is far below the 64 KiB byte threshold must still
@@ -540,12 +564,14 @@ TEST(GeoNodeTcpDurable, AppendFailuresAreExportedAndWritesStillReplicate) {
 
 // --- catch-up ordering, step by step -----------------------------------------
 
-// A LinkSeam that is always up and records every frame, both links, in
-// send order.
+// A LinkSeam that is always up and records every hello and every frame,
+// both links, in send order.
 struct RecordingSeam final : geo::rt::LinkSeam {
+  std::vector<gw::GeoHelloMsg> hellos;
   std::vector<std::pair<net::wire::MsgType, std::string>> sent;
 
-  bool Dial(DatacenterId, DatacenterId, gw::GeoHelloMsg) override {
+  bool Dial(DatacenterId, DatacenterId, gw::GeoHelloMsg hello) override {
+    hellos.push_back(hello);
     return true;
   }
   bool SendOnMetadataLink(DatacenterId, DatacenterId, net::wire::MsgType type,
@@ -599,7 +625,7 @@ TEST(PeerLinksCatchUp, LiveMetadataWaitsBehindEveryReplayedChunk) {
   }
 
   geo::rt::PeerLinks links(geo::rt::PeerLinks::Options{}, &runtime, &env,
-                           &seam, &durability, &sessions, nullptr);
+                           &seam, &durability, nullptr);
   ASSERT_TRUE(links.Dial(1));
   links.Start();  // the first chunk goes out here
   ASSERT_EQ(links.replays(1).started, 1u);
@@ -643,6 +669,126 @@ TEST(PeerLinksCatchUp, LiveMetadataWaitsBehindEveryReplayedChunk) {
       << "live metadata overtook the replay on the FIFO link";
   links.Stop();
 }
+
+// --- durable frontiers, step by step -----------------------------------------
+
+// One datacenter's WAL, runtime and links on a hand-driven environment.
+struct DurableDc {
+  DurableDc(const GeoConfig& config, wal::Disk* disk, wal::FsyncPolicy fsync,
+            testenv::ManualEnvironment* env, geo::rt::LinkSeam* seam)
+      : uids(0, config.num_dcs) {
+    geo::rt::GeoDurabilityOptions dopts;
+    dopts.disk = disk;
+    dopts.dc = 0;
+    dopts.num_dcs = config.num_dcs;
+    dopts.partitions = config.partitions_per_dc;
+    dopts.fsync = fsync;
+    durability = std::make_unique<geo::rt::GeoDurability>(dopts);
+    runtime = std::make_unique<geo::rt::DatacenterRuntime>(
+        0, config, env, &tracker, &uids, &sessions,
+        std::vector<PhysicalClock>(config.partitions_per_dc),
+        durability.get());
+    durability->Recover(runtime.get(), &sessions);
+    links = std::make_unique<geo::rt::PeerLinks>(
+        geo::rt::PeerLinks::Options{}, runtime.get(), env, seam,
+        durability.get(), nullptr);
+  }
+
+  geo::VisibilityTracker tracker;
+  geo::rt::UidAllocator uids;
+  geo::rt::SessionMap sessions;
+  std::unique_ptr<geo::rt::GeoDurability> durability;
+  std::unique_ptr<geo::rt::DatacenterRuntime> runtime;
+  std::unique_ptr<geo::rt::PeerLinks> links;
+};
+
+// What a node tells a peer it holds of the peer's updates — the hello's
+// resume_from and every kGeoAck — lets that peer truncate the installs
+// behind it, so it must survive a crash at any moment. dc1's updates are
+// applied at dc0 one per millisecond across many flush ticks and several
+// acks; the last few land after the last flush, just before a re-dial's
+// hello. Then the disk crashes and a fresh runtime recovers from it: its
+// SiteTime must cover every value sent.
+class PeerLinksDurableFrontier
+    : public ::testing::TestWithParam<wal::FsyncPolicy> {};
+
+TEST_P(PeerLinksDurableFrontier, NoHelloOrAckPromisesMoreThanACrashRecovers) {
+  const GeoConfig config = SmallConfig(2, /*scalar=*/false);
+  const wal::FsyncPolicy fsync = GetParam();
+  wal::MemDisk disk;
+  RecordingSeam seam;
+  testenv::ManualEnvironment env;
+  auto dc0 = std::make_unique<DurableDc>(config, &disk, fsync, &env, &seam);
+  ASSERT_TRUE(dc0->links->Dial(1));
+  dc0->links->Start();
+
+  int delivered = 0;
+  const auto deliver = [&] {
+    ++delivered;
+    const std::uint64_t uid = 1 + 2 * static_cast<std::uint64_t>(delivered);
+    const Key key = static_cast<Key>(delivered % 8);
+    geo::VectorTimestamp vts(config.num_dcs);
+    vts[1] = static_cast<Timestamp>(delivered) * 1000;
+    dc0->runtime->OnPayload(/*partition=*/0, geo::RemotePayload{
+                                                 uid, key, "v", vts, 1});
+    dc0->runtime->OnRemoteMetadata({geo::RemoteUpdate{uid, key, vts, 1, 0}});
+  };
+  for (int i = 0; i < 350; ++i) {  // 70 flush ticks, 4 ack rounds
+    deliver();
+    env.AdvanceTo(env.Now() + 1000);
+  }
+  for (int i = 0; i < 3; ++i) {
+    deliver();
+  }
+  ASSERT_TRUE(dc0->links->Dial(1));
+  const Timestamp live = dc0->runtime->receiver().site_time()[1];
+  ASSERT_EQ(live, static_cast<Timestamp>(delivered) * 1000);
+
+  std::vector<Timestamp> promised;
+  for (const gw::GeoHelloMsg& hello : seam.hellos) {
+    promised.push_back(hello.resume_from);
+  }
+  std::size_t acks = 0;
+  for (const auto& [type, frame] : seam.sent) {
+    if (type == net::wire::MsgType::kGeoAck) {
+      gw::GeoAckMsg ack;
+      ASSERT_TRUE(gw::DecodeGeoAck(frame, &ack));
+      promised.push_back(ack.applied);
+      ++acks;
+    }
+  }
+  ASSERT_EQ(seam.hellos.size(), 2u);
+  ASSERT_EQ(acks, 4u);
+  const Timestamp most = *std::max_element(promised.begin(), promised.end());
+  switch (fsync) {
+    case wal::FsyncPolicy::kPerCommit:  // every append synced: the live one
+      EXPECT_EQ(seam.hellos.back().resume_from, live);
+      break;
+    case wal::FsyncPolicy::kInterval:  // synced at a flush, not the tail
+      EXPECT_GT(most, 0u) << "no synced frontier was ever sent";
+      EXPECT_LT(seam.hellos.back().resume_from, live);
+      break;
+    case wal::FsyncPolicy::kOff:  // nothing is ever synced
+      EXPECT_EQ(most, 0u);
+      break;
+  }
+
+  // kill -9: the node dies, its disk keeps only what was synced.
+  dc0->links->Stop();
+  dc0.reset();
+  disk.Crash();
+  testenv::ManualEnvironment env2;
+  RecordingSeam seam2;
+  DurableDc recovered(config, &disk, fsync, &env2, &seam2);
+  EXPECT_GE(recovered.runtime->receiver().site_time()[1], most)
+      << "a hello or ack promised state the crash lost";
+}
+
+INSTANTIATE_TEST_SUITE_P(Fsync, PeerLinksDurableFrontier,
+                         ::testing::Values(wal::FsyncPolicy::kPerCommit,
+                                           wal::FsyncPolicy::kInterval,
+                                           wal::FsyncPolicy::kOff),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace eunomia
