@@ -19,8 +19,8 @@
 
 #include "bench/flags.h"
 #include "src/georep/eunomiakv.h"
-#include "src/harness/geo_experiment.h"
-#include "src/harness/table.h"
+#include "bench/harness/geo_experiment.h"
+#include "bench/harness/table.h"
 #include "src/workload/workload.h"
 
 namespace eunomia {

@@ -44,7 +44,7 @@
 #include "bench/flags.h"
 #include "bench/service_driver.h"
 #include "src/eunomia/core.h"
-#include "src/harness/table.h"
+#include "bench/harness/table.h"
 #include "src/sim/network.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"

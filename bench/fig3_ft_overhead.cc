@@ -30,7 +30,7 @@
 #include "bench/service_driver.h"
 #include "src/eunomia/replica.h"
 #include "src/eunomia/service.h"
-#include "src/harness/table.h"
+#include "bench/harness/table.h"
 #include "src/sim/network.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"

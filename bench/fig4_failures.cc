@@ -22,7 +22,7 @@
 #include "bench/service_driver.h"
 #include "src/common/stats.h"
 #include "src/eunomia/service.h"
-#include "src/harness/table.h"
+#include "bench/harness/table.h"
 
 namespace eunomia {
 namespace {

@@ -20,8 +20,8 @@
 
 #include "bench/bench_json.h"
 #include "bench/flags.h"
-#include "src/harness/geo_experiment.h"
-#include "src/harness/table.h"
+#include "bench/harness/geo_experiment.h"
+#include "bench/harness/table.h"
 #include "src/metrics/histogram.h"
 #include "src/workload/workload.h"
 

@@ -1,4 +1,4 @@
-#include "src/harness/geo_experiment.h"
+#include "bench/harness/geo_experiment.h"
 
 #include <cassert>
 

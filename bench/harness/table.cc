@@ -1,4 +1,4 @@
-#include "src/harness/table.h"
+#include "bench/harness/table.h"
 
 #include <algorithm>
 #include <cstdio>

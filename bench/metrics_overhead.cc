@@ -45,7 +45,7 @@
 #include "bench/flags.h"
 #include "bench/service_driver.h"
 #include "src/eunomia/service.h"
-#include "src/harness/table.h"
+#include "bench/harness/table.h"
 #include "src/metrics/registry.h"
 
 namespace eunomia {

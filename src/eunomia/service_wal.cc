@@ -1,14 +1,17 @@
 #include "src/eunomia/service_wal.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "src/common/thread_name.h"
+#include "src/net/wire.h"
 #include "src/net/wire_io.h"
 
 namespace eunomia {
 
 namespace io = net::wire::io;
+namespace wire = net::wire;
 
 std::string ServiceWal::LogName(PartitionId partition) {
   return "log-p" + std::to_string(partition);
@@ -31,48 +34,6 @@ ServiceWal::~ServiceWal() {
     snap_thread_.join();
   }
 }
-
-namespace {
-
-constexpr std::size_t kOpWireBytes = 28;  // ts, partition, key, tag
-
-// Sized-once + raw stores: this runs on the commit path for every accepted
-// batch, where per-byte appends measurably tax a small host.
-void EncodeBatch(std::string* out, PartitionId partition,
-                 const std::vector<OpRecord>& batch) {
-  const std::size_t base = out->size();
-  out->resize(base + 8 + batch.size() * kOpWireBytes);
-  char* p = out->data() + base;
-  io::StoreU32(p, partition);
-  io::StoreU32(p + 4, static_cast<std::uint32_t>(batch.size()));
-  p += 8;
-  for (const OpRecord& op : batch) {
-    io::StoreU64(p, op.ts);
-    io::StoreU32(p + 8, op.partition);
-    io::StoreU64(p + 12, op.key);
-    io::StoreU64(p + 20, op.tag);
-    p += kOpWireBytes;
-  }
-}
-
-bool DecodeBatch(const std::string& payload, PartitionId* partition,
-                 std::vector<OpRecord>* batch) {
-  io::PayloadReader reader(payload);
-  std::uint32_t count = 0;
-  if (!reader.U32(partition) || !reader.U32(&count)) {
-    return false;
-  }
-  batch->resize(count);
-  for (OpRecord& op : *batch) {
-    if (!reader.U64(&op.ts) || !reader.U32(&op.partition) ||
-        !reader.U64(&op.key) || !reader.U64(&op.tag)) {
-      return false;
-    }
-  }
-  return reader.done();
-}
-
-}  // namespace
 
 ServiceWal::Recovered ServiceWal::Recover() {
   Recovered out;
@@ -110,19 +71,16 @@ ServiceWal::Recovered ServiceWal::Recover() {
     }
     for (const wal::Record& record : records) {
       if (record.type == kBatchRecord) {
-        PartitionId logged_partition = 0;
-        std::vector<OpRecord> batch;
-        if (DecodeBatch(record.payload, &logged_partition, &batch) &&
-            logged_partition == p) {
-          out.batches[p].push_back(std::move(batch));
+        wire::SubmitBatchMsg msg;
+        if (wire::DecodeSubmitBatch(record.payload, &msg) &&
+            msg.partition == p) {
+          out.batches[p].push_back(std::move(msg.ops));
         }
       } else if (record.type == kHeartbeatRecord) {
-        io::PayloadReader reader(record.payload);
-        std::uint32_t partition = 0;
-        std::uint64_t ts = 0;
-        if (reader.U32(&partition) && reader.U64(&ts) && reader.done() &&
-            partition == p && ts > out.heartbeats[p]) {
-          out.heartbeats[p] = ts;
+        wire::HeartbeatMsg msg;
+        if (wire::DecodeHeartbeat(record.payload, &msg) &&
+            msg.partition == p && msg.ts > out.heartbeats[p]) {
+          out.heartbeats[p] = msg.ts;
         }
       }
       // Unknown record types are skipped, not fatal: the CRC already
@@ -145,12 +103,21 @@ bool ServiceWal::LogBatch(PartitionId partition,
   // Reused per producer thread: a full batch record is tens of KB, and an
   // allocate/free per append is measurable on the commit path.
   static thread_local std::string payload;
-  payload.clear();
-  EncodeBatch(&payload, partition, batch);
-  if (!logs_[partition]->Append(kBatchRecord, payload)) {
-    NoteAppendFailure();
-    return false;
-  }
+  // A record is one kSubmitBatch body, so in-process callers' batches above
+  // kMaxOpsPerFrame are logged as consecutive records; replayed back to
+  // back they are the same ops in the same order.
+  std::size_t first = 0;
+  do {
+    const std::size_t count =
+        std::min<std::size_t>(batch.size() - first, wire::kMaxOpsPerFrame);
+    payload.clear();
+    wire::AppendSubmitBatch(partition, batch.data() + first, count, &payload);
+    if (!logs_[partition]->Append(kBatchRecord, payload)) {
+      NoteAppendFailure();
+      return false;
+    }
+    first += count;
+  } while (first < batch.size());
   return true;
 }
 
@@ -162,9 +129,7 @@ void ServiceWal::NoteAppendFailure() {
 }
 
 void ServiceWal::LogHeartbeat(PartitionId partition, Timestamp ts) {
-  std::string payload;
-  io::PutU32(&payload, partition);
-  io::PutU64(&payload, ts);
+  const std::string payload = wire::EncodeHeartbeat({partition, ts});
   // Heartbeats ride the same log and the same fsync policy as batches; a
   // lost heartbeat only delays stabilization after a restart, it loses no
   // data, so there is no need for a separate non-durable path.
@@ -270,34 +235,24 @@ void ServiceWal::WriteSnapshotAndCompact(OpOrderKey mark) {
       if (record.type == kBatchRecord) {
         // A batch is droppable only when *all* its ops are covered by the
         // snapshot mark; a straddler stays whole (replay + suppression
-        // absorbs the covered prefix). Ops are fixed-width, so peeking at
-        // the last one is O(1) — decoding every op of every batch would
-        // make compaction quadratic-feeling on big logs for no benefit.
-        if (record.payload.size() < 8) {
-          return false;  // malformed: drop
-        }
-        const char* data = record.payload.data();
-        const std::uint32_t count = io::GetU32(data + 4);
-        if (count == 0 || record.payload.size() !=
-                              8 + std::size_t{count} * kOpWireBytes) {
-          return false;
-        }
-        const char* last = data + 8 + std::size_t{count - 1} * kOpWireBytes;
-        return OpOrderKey{io::GetU64(last), io::GetU32(last + 8)} > mark;
+        // absorbs the covered prefix). The last op is peeked in O(1) —
+        // decoding every op of every batch would make compaction
+        // quadratic-feeling on big logs for no benefit. Malformed: drop.
+        OpOrderKey last{0, 0};
+        return wire::PeekSubmitBatchLastOp(record.payload, &last) &&
+               last > mark;
       }
       if (record.type == kHeartbeatRecord) {
-        io::PayloadReader reader(record.payload);
-        std::uint32_t partition = 0;
-        std::uint64_t ts = 0;
-        if (!reader.U32(&partition) || !reader.U64(&ts) || !reader.done()) {
+        wire::HeartbeatMsg msg;
+        if (!wire::DecodeHeartbeat(record.payload, &msg)) {
           return false;
         }
         // Keep monotone-increasing heartbeats only; the replay takes the
         // max anyway, this just sheds the bulk of a heartbeat-heavy log.
-        if (ts <= newest_hb) {
+        if (msg.ts <= newest_hb) {
           return false;
         }
-        newest_hb = ts;
+        newest_hb = msg.ts;
         return true;
       }
       return true;  // unknown-but-valid: preserve

@@ -24,6 +24,12 @@
 //   log-p<P>  per-partition record log: kBatch / kHeartbeat records
 //   snap      one framed kSnapshot record, replaced via WriteAtomic
 //
+// A kBatch record is the body of the kSubmitBatch message that carries the
+// batch, and a kHeartbeat record the body of the kHeartbeat message
+// (src/net/wire.h), written and read by the wire codec itself. A batch
+// record holds at most wire::kMaxOpsPerFrame ops, which keeps it under
+// wal::kMaxRecordBytes; LogBatch splits a larger in-process batch.
+//
 // Log truncation: once the emitted frontier has advanced past a threshold
 // of logged bytes, the snapshot is rewritten and each partition log is
 // compacted, dropping batch records whose *last* op is covered by the mark

@@ -253,7 +253,7 @@ void FaultyGeoEnvironment::SendPayload(DatacenterId from, DatacenterId to,
     return;
   }
   payload_history_[Idx(from, to)].push_back({partition, payload});
-  peer_links_[from]->SendPayload(to, partition, std::move(payload));
+  peer_links_[from]->SendPayload(to, partition, payload);
 }
 
 }  // namespace eunomia::geo::rt::chaos

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <utility>
 
+#include "src/georep/runtime/geo_wire.h"
 #include "src/net/wire_io.h"
 
 namespace eunomia::geo::rt {
@@ -16,215 +17,186 @@ namespace {
 constexpr const char* kInboundLogName = "inbound";
 constexpr const char* kSnapName = "snap";
 
-void PutVts(std::string* out, const VectorTimestamp& vts) {
-  for (DatacenterId d = 0; d < vts.size(); ++d) {
-    io::PutU64(out, vts[d]);
-  }
+std::size_t VtsBytes(const VectorTimestamp& vts) {
+  return 4 + 8 * static_cast<std::size_t>(vts.size());
 }
 
-bool GetVts(io::PayloadReader* reader, std::uint32_t num_dcs,
-            VectorTimestamp* vts) {
-  *vts = VectorTimestamp(num_dcs);
-  for (DatacenterId d = 0; d < num_dcs; ++d) {
-    std::uint64_t v = 0;
-    if (!reader->U64(&v)) {
-      return false;
+// Lays a snapshot's records out in one buffer: entries are packed into the
+// open record until the next would push it past wal::kMaxRecordBytes. With
+// a null buffer it only counts bytes, so a first pass sizes the buffer the
+// second pass fills exactly.
+class SnapshotRecords {
+ public:
+  explicit SnapshotRecords(std::string* out) : out_(out) {}
+
+  // Makes room for an entry of `bytes`, which the caller then appends,
+  // sealing the open record first if there is none or the entry would not
+  // fit in it.
+  void Reserve(std::size_t bytes) {
+    assert(bytes <= wal::kMaxRecordBytes);
+    if (!open_ || size_ - open_at_ + bytes >
+                      wal::kRecordHeaderBytes + wal::kMaxRecordBytes) {
+      Seal();
+      open_ = true;
+      open_at_ = size_;
+      size_ += wal::kRecordHeaderBytes;
+      if (out_ != nullptr) {
+        out_->append(wal::kRecordHeaderBytes, '\0');
+      }
     }
-    (*vts)[d] = v;
+    size_ += bytes;
   }
-  return true;
-}
 
-// Shared by kInstallRecord and kInboundPayloadRecord.
-std::string EncodePayloadRecord(PartitionId partition,
-                                const RemotePayload& payload) {
-  std::string out;
-  io::PutU32(&out, partition);
-  io::PutU64(&out, payload.uid);
-  io::PutU64(&out, payload.key);
-  io::PutU32(&out, payload.origin);
-  PutVts(&out, payload.vts);
-  io::PutU32(&out, static_cast<std::uint32_t>(payload.value.size()));
-  out += payload.value;
-  return out;
-}
-
-bool DecodePayloadRecord(std::string_view bytes, std::uint32_t num_dcs,
-                         PartitionId* partition, RemotePayload* payload) {
-  io::PayloadReader reader(bytes);
-  std::uint32_t value_len = 0;
-  if (!reader.U32(partition) || !reader.U64(&payload->uid) ||
-      !reader.U64(&payload->key) || !reader.U32(&payload->origin) ||
-      !GetVts(&reader, num_dcs, &payload->vts) || !reader.U32(&value_len) ||
-      !reader.Bytes(value_len, &payload->value)) {
-    return false;
-  }
-  return reader.done();
-}
-
-// The install-log record filter Recover and InstallCursor share: a
-// well-formed kInstallRecord of partition `p` that `dc` originated.
-bool DecodeInstallRecord(std::uint8_t type, std::string_view bytes,
-                         DatacenterId dc, std::uint32_t num_dcs, PartitionId p,
-                         RemotePayload* payload) {
-  PartitionId logged_partition = 0;
-  return type == GeoDurability::kInstallRecord &&
-         DecodePayloadRecord(bytes, num_dcs, &logged_partition, payload) &&
-         logged_partition == p && payload->origin == dc;
-}
-
-std::string EncodeMetaRecord(const std::vector<RemoteUpdate>& batch) {
-  std::string out;
-  io::PutU32(&out, static_cast<std::uint32_t>(batch.size()));
-  for (const RemoteUpdate& u : batch) {
-    io::PutU64(&out, u.uid);
-    io::PutU64(&out, u.key);
-    io::PutU32(&out, u.origin);
-    io::PutU32(&out, u.partition);
-    PutVts(&out, u.vts);
-  }
-  return out;
-}
-
-bool DecodeMetaRecord(std::string_view bytes, std::uint32_t num_dcs,
-                      std::vector<RemoteUpdate>* batch) {
-  io::PayloadReader reader(bytes);
-  std::uint32_t count = 0;
-  if (!reader.U32(&count)) {
-    return false;
-  }
-  batch->clear();
-  batch->reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    RemoteUpdate u;
-    if (!reader.U64(&u.uid) || !reader.U64(&u.key) || !reader.U32(&u.origin) ||
-        !reader.U32(&u.partition) || !GetVts(&reader, num_dcs, &u.vts)) {
-      return false;
+  // Fills the open record's header in; the next entry opens a new record.
+  void Seal() {
+    if (open_ && out_ != nullptr) {
+      char header[wal::kRecordHeaderBytes];
+      wal::BuildRecordHeader(
+          header, GeoDurability::kGeoSnapshotRecord,
+          std::string_view(*out_).substr(open_at_ + wal::kRecordHeaderBytes));
+      out_->replace(open_at_, wal::kRecordHeaderBytes, header,
+                    wal::kRecordHeaderBytes);
     }
-    batch->push_back(std::move(u));
+    open_ = false;
   }
-  return reader.done();
-}
 
-// A decoded snapshot record, for Recover (Snapshot encodes straight from
-// the runtime).
-struct SnapshotState {
-  VectorTimestamp site_time;
-  std::vector<Timestamp> clock_marks;                       // per partition
-  std::vector<std::pair<ClientId, VectorTimestamp>> sessions;
-  // Per partition: the full store contents.
-  std::vector<std::vector<std::pair<Key, GeoVersion>>> stores;
+  std::size_t size() const { return size_; }
+
+ private:
+  std::string* const out_;
+  bool open_ = false;
+  std::size_t open_at_ = 0;  // where the open record's header goes
+  std::size_t size_ = 0;
 };
 
-// The framed kGeoSnapshotRecord, encoded straight from the live state into
-// its one buffer: a first pass sizes it, the body (DecodeSnapshot's layout)
-// goes in behind a header hole, and the header is filled in last. No store
-// copy and no second string.
-std::string FrameSnapshot(const VectorTimestamp& site_time,
-                          const std::vector<Timestamp>& clock_marks,
-                          const SessionMap* sessions,
-                          const DatacenterRuntime& runtime) {
-  const std::uint32_t num_dcs = static_cast<std::uint32_t>(site_time.size());
+// Writes the snapshot's records into *out, or with out null only sizes
+// them; returns their size. DecodeGeoSnapshot's layout, encoded straight
+// from the live state: no store copy.
+std::size_t LayOutSnapshot(std::string* out, const VectorTimestamp& site_time,
+                           const std::vector<Timestamp>& clock_marks,
+                           const SessionMap* sessions,
+                           const DatacenterRuntime& runtime) {
   const std::uint32_t partitions =
       static_cast<std::uint32_t>(clock_marks.size());
-  const std::size_t vts_bytes = 8u * num_dcs;
   const std::size_t num_sessions = sessions != nullptr ? sessions->size() : 0;
-  std::size_t bytes = wal::kRecordHeaderBytes + 4 + vts_bytes + 4 +
-                      8u * partitions + 4 + num_sessions * (8 + vts_bytes);
-  for (PartitionId p = 0; p < partitions; ++p) {
-    bytes += 4;
-    runtime.StoreAt(p).ForEach([&](Key, const GeoVersion& version) {
-      bytes += 8 + 4 + vts_bytes + 4 + version.value.size();
-    });
+  SnapshotRecords records(out);
+  records.Reserve(VtsBytes(site_time) + 4 + 8u * partitions + 4 +
+                  4u * partitions);
+  if (out != nullptr) {
+    wire::AppendVts(out, site_time);
+    io::PutU32(out, partitions);
+    for (const Timestamp mark : clock_marks) {
+      io::PutU64(out, mark);
+    }
+    io::PutU32(out, static_cast<std::uint32_t>(num_sessions));
+    for (PartitionId p = 0; p < partitions; ++p) {
+      io::PutU32(out, static_cast<std::uint32_t>(runtime.StoreAt(p).size()));
+    }
   }
-  std::string out;
-  out.reserve(bytes);
-  out.append(wal::kRecordHeaderBytes, '\0');
-
-  io::PutU32(&out, num_dcs);
-  PutVts(&out, site_time);
-  io::PutU32(&out, partitions);
-  for (const Timestamp mark : clock_marks) {
-    io::PutU64(&out, mark);
-  }
-  io::PutU32(&out, static_cast<std::uint32_t>(num_sessions));
+  records.Seal();
   if (sessions != nullptr) {
     for (const auto& [client, vts] : *sessions) {
-      io::PutU64(&out, client);
-      PutVts(&out, vts);
+      records.Reserve(8 + VtsBytes(vts));
+      if (out != nullptr) {
+        io::PutU64(out, client);
+        wire::AppendVts(out, vts);
+      }
     }
   }
   for (PartitionId p = 0; p < partitions; ++p) {
-    const GeoStore& store = runtime.StoreAt(p);
-    io::PutU32(&out, static_cast<std::uint32_t>(store.size()));
-    store.ForEach([&out](Key key, const GeoVersion& version) {
-      io::PutU64(&out, key);
-      io::PutU32(&out, version.origin);
-      PutVts(&out, version.vts);
-      io::PutU32(&out, static_cast<std::uint32_t>(version.value.size()));
-      out += version.value;
+    runtime.StoreAt(p).ForEach([&](Key key, const GeoVersion& version) {
+      records.Reserve(8 + 4 + VtsBytes(version.vts) + 4 + version.value.size());
+      if (out != nullptr) {
+        io::PutU64(out, key);
+        io::PutU32(out, version.origin);
+        wire::AppendVts(out, version.vts);
+        io::PutU32(out, static_cast<std::uint32_t>(version.value.size()));
+        out->append(version.value);
+      }
     });
   }
-  assert(out.size() == bytes);
-
-  char header[wal::kRecordHeaderBytes];
-  wal::BuildRecordHeader(header, GeoDurability::kGeoSnapshotRecord,
-                         std::string_view(out).substr(wal::kRecordHeaderBytes));
-  std::copy(header, header + wal::kRecordHeaderBytes, out.begin());
-  return out;
+  records.Seal();
+  return records.size();
 }
 
-bool DecodeSnapshot(const std::string& bytes, std::uint32_t num_dcs,
-                    std::uint32_t partitions, SnapshotState* snap) {
-  io::PayloadReader reader(bytes);
-  std::uint32_t got_dcs = 0;
+}  // namespace
+
+bool DecodeGeoSnapshot(std::string_view file, std::uint32_t num_dcs,
+                       std::uint32_t partitions, GeoSnapshot* snap) {
+  // WriteAtomic replaces the file whole, so a torn or foreign record is
+  // corruption: the snapshot is trusted in full or not at all.
+  std::vector<std::string_view> records;
+  bool typed = true;
+  const wal::LogState state =
+      wal::ScanLog(file, [&](const wal::RecordView& record) {
+        typed = typed && record.type == GeoDurability::kGeoSnapshotRecord;
+        records.push_back(record.payload);
+      });
+  if (state != wal::LogState::kClean || !typed || records.empty()) {
+    return false;
+  }
+
+  io::PayloadReader header(records[0]);
   std::uint32_t got_partitions = 0;
-  if (!reader.U32(&got_dcs) || got_dcs != num_dcs ||
-      !GetVts(&reader, num_dcs, &snap->site_time) ||
-      !reader.U32(&got_partitions) || got_partitions != partitions) {
-    return false;
-  }
-  snap->clock_marks.assign(partitions, 0);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    if (!reader.U64(&snap->clock_marks[p])) {
-      return false;
-    }
-  }
   std::uint32_t num_sessions = 0;
-  if (!reader.U32(&num_sessions)) {
+  std::vector<std::uint32_t> store_sizes(partitions);
+  snap->clock_marks.assign(partitions, 0);
+  bool ok = wire::ReadVts(&header, &snap->site_time) &&
+            snap->site_time.size() == num_dcs &&
+            header.U32(&got_partitions) && got_partitions == partitions;
+  for (Timestamp& mark : snap->clock_marks) {
+    ok = ok && header.U64(&mark);
+  }
+  ok = ok && header.U32(&num_sessions);
+  for (std::uint32_t& size : store_sizes) {
+    ok = ok && header.U32(&size);
+  }
+  if (!ok || !header.done()) {
     return false;
   }
+
+  // The entries, read record by record; none spans two.
+  std::size_t next = 1;
+  io::PayloadReader entries{std::string_view()};
+  const auto entry = [&]() -> io::PayloadReader* {
+    while (entries.done()) {
+      if (next == records.size()) {
+        return nullptr;
+      }
+      entries = io::PayloadReader(records[next++]);
+    }
+    return &entries;
+  };
   snap->sessions.clear();
   for (std::uint32_t i = 0; i < num_sessions; ++i) {
+    io::PayloadReader* reader = entry();
     ClientId client = 0;
     VectorTimestamp vts;
-    if (!reader.U64(&client) || !GetVts(&reader, num_dcs, &vts)) {
+    if (reader == nullptr || !reader->U64(&client) ||
+        !wire::ReadVts(reader, &vts) || vts.size() != num_dcs) {
       return false;
     }
     snap->sessions.emplace_back(client, std::move(vts));
   }
   snap->stores.assign(partitions, {});
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    std::uint32_t count = 0;
-    if (!reader.U32(&count)) {
-      return false;
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
+  for (PartitionId p = 0; p < partitions; ++p) {
+    for (std::uint32_t i = 0; i < store_sizes[p]; ++i) {
+      io::PayloadReader* reader = entry();
       Key key = 0;
       GeoVersion version;
       std::uint32_t value_len = 0;
-      if (!reader.U64(&key) || !reader.U32(&version.origin) ||
-          !GetVts(&reader, num_dcs, &version.vts) || !reader.U32(&value_len) ||
-          !reader.Bytes(value_len, &version.value)) {
+      if (reader == nullptr || !reader->U64(&key) ||
+          !reader->U32(&version.origin) || version.origin >= num_dcs ||
+          !wire::ReadVts(reader, &version.vts) ||
+          version.vts.size() != num_dcs || !reader->U32(&value_len) ||
+          !reader->Bytes(value_len, &version.value)) {
         return false;
       }
       snap->stores[p].emplace_back(key, std::move(version));
     }
   }
-  return reader.done();
+  return entries.done() && next == records.size();
 }
-
-}  // namespace
 
 GeoDurability::GeoDurability(GeoDurabilityOptions options)
     : options_(options),
@@ -265,7 +237,7 @@ void GeoDurability::OnLocalInstall(PartitionId partition,
     local_ts_mark_[partition] = ts;
   }
   Append(install_logs_[partition].get(), kInstallRecord,
-         EncodePayloadRecord(partition, payload));
+         wire::EncodeGeoPayload(partition, payload));
 }
 
 void GeoDurability::OnInboundMetadata(const std::vector<RemoteUpdate>& batch) {
@@ -273,7 +245,10 @@ void GeoDurability::OnInboundMetadata(const std::vector<RemoteUpdate>& batch) {
     return;
   }
   assert(inbound_log_ != nullptr);
-  Append(inbound_log_.get(), kInboundMetaRecord, EncodeMetaRecord(batch));
+  // A batch arrives in one kGeoMetaBatch frame, from one origin.
+  Append(inbound_log_.get(), kInboundMetaRecord,
+         wire::EncodeGeoMetaBatch(batch.front().origin, batch.data(),
+                                  batch.size()));
 }
 
 void GeoDurability::OnInboundPayload(PartitionId partition,
@@ -283,7 +258,7 @@ void GeoDurability::OnInboundPayload(PartitionId partition,
   }
   assert(inbound_log_ != nullptr);
   Append(inbound_log_.get(), kInboundPayloadRecord,
-         EncodePayloadRecord(partition, payload));
+         wire::EncodeGeoPayload(partition, payload));
 }
 
 void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
@@ -293,30 +268,21 @@ void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
 
   // --- snapshot --------------------------------------------------------------
   std::string snap_bytes;
-  if (options_.disk->ReadAll(kSnapName, &snap_bytes)) {
-    std::vector<wal::Record> records;
-    wal::ReadLog(snap_bytes, &records);
-    // Take the newest valid snapshot record (WriteAtomic keeps exactly one,
-    // but a corrupt file degrades to "no snapshot", never to garbage).
-    for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      SnapshotState snap;
-      if (it->type == kGeoSnapshotRecord &&
-          DecodeSnapshot(it->payload, options_.num_dcs, options_.partitions,
-                         &snap)) {
-        runtime->RestoreSiteTime(snap.site_time);
-        for (PartitionId p = 0; p < options_.partitions; ++p) {
-          runtime->PrimePartitionClock(p, snap.clock_marks[p]);
-          local_ts_mark_[p] = snap.clock_marks[p];
-          for (const auto& [key, version] : snap.stores[p]) {
-            runtime->RestoreStoreVersion(p, key, version);
-          }
-        }
-        if (sessions != nullptr) {
-          for (const auto& [client, vts] : snap.sessions) {
-            (*sessions)[client] = vts;
-          }
-        }
-        break;
+  GeoSnapshot snap;
+  if (options_.disk->ReadAll(kSnapName, &snap_bytes) &&
+      DecodeGeoSnapshot(snap_bytes, options_.num_dcs, options_.partitions,
+                        &snap)) {
+    runtime->RestoreSiteTime(snap.site_time);
+    for (PartitionId p = 0; p < options_.partitions; ++p) {
+      runtime->PrimePartitionClock(p, snap.clock_marks[p]);
+      local_ts_mark_[p] = snap.clock_marks[p];
+      for (const auto& [key, version] : snap.stores[p]) {
+        runtime->RestoreStoreVersion(p, key, version);
+      }
+    }
+    if (sessions != nullptr) {
+      for (const auto& [client, vts] : snap.sessions) {
+        (*sessions)[client] = vts;
       }
     }
   }
@@ -326,16 +292,18 @@ void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
     std::vector<wal::Record> records;
     wal::RecoverLog(options_.disk, InstallLogName(p), &records);
     for (const wal::Record& record : records) {
-      RemotePayload payload;
-      if (!DecodeInstallRecord(record.type, record.payload, options_.dc,
-                               options_.num_dcs, p, &payload)) {
+      wire::GeoPayloadMsg msg;
+      if (record.type != kInstallRecord ||
+          !wire::DecodeGeoPayload(record.payload, &msg) ||
+          !wire::FitsDeployment(msg, options_.num_dcs, options_.partitions) ||
+          msg.partition != p || msg.payload.origin != options_.dc) {
         continue;
       }
-      const Timestamp ts = payload.vts[options_.dc];
+      const Timestamp ts = msg.payload.vts[options_.dc];
       if (ts > local_ts_mark_[p]) {
         local_ts_mark_[p] = ts;
       }
-      runtime->RestoreLocalUpdate(p, payload);
+      runtime->RestoreLocalUpdate(p, msg.payload);
     }
     install_logs_[p] = std::make_unique<wal::LogWriter>(
         options_.disk, InstallLogName(p), options_.fsync);
@@ -347,17 +315,16 @@ void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
     wal::RecoverLog(options_.disk, kInboundLogName, &records);
     for (const wal::Record& record : records) {
       if (record.type == kInboundMetaRecord) {
-        std::vector<RemoteUpdate> batch;
-        if (DecodeMetaRecord(record.payload, options_.num_dcs, &batch)) {
-          runtime->OnRemoteMetadata(batch);
+        wire::GeoMetaBatchMsg msg;
+        if (wire::DecodeGeoMetaBatch(record.payload, &msg) &&
+            wire::FitsDeployment(msg, options_.num_dcs, options_.partitions)) {
+          runtime->OnRemoteMetadata(msg.updates);
         }
       } else if (record.type == kInboundPayloadRecord) {
-        PartitionId partition = 0;
-        RemotePayload payload;
-        if (DecodePayloadRecord(record.payload, options_.num_dcs, &partition,
-                                &payload) &&
-            partition < options_.partitions) {
-          runtime->OnPayload(partition, std::move(payload));
+        wire::GeoPayloadMsg msg;
+        if (wire::DecodeGeoPayload(record.payload, &msg) &&
+            wire::FitsDeployment(msg, options_.num_dcs, options_.partitions)) {
+          runtime->OnPayload(msg.partition, std::move(msg.payload));
         }
       }
     }
@@ -384,7 +351,7 @@ InstallCursor::InstallCursor(wal::Disk* disk, DatacenterId dc,
       last_(std::move(last)),
       logs_(last_.size()) {}
 
-bool InstallCursor::Next(PartitionId* partition, RemotePayload* payload) {
+bool InstallCursor::Next(LoggedInstall* install) {
   // Each log is in timestamp order: a P-way merge of the heads yields the
   // global order, but only once every unfinished log has a head.
   Log* best = nullptr;
@@ -393,17 +360,18 @@ bool InstallCursor::Next(PartitionId* partition, RemotePayload* payload) {
     if (log.ready.empty() && !log.done && !ReadChunk(p)) {
       return false;
     }
-    if (!log.ready.empty() &&
-        (best == nullptr ||
-         log.ready.front().vts[dc_] < best->ready.front().vts[dc_])) {
+    if (log.ready.empty()) {
+      continue;
+    }
+    const Timestamp head = log.ready.front().update.vts[dc_];
+    if (best == nullptr || head < best->ready.front().update.vts[dc_]) {
       best = &log;
     }
   }
   if (best == nullptr) {
     return false;
   }
-  *partition = static_cast<PartitionId>(best - logs_.data());
-  *payload = std::move(best->ready.front());
+  *install = std::move(best->ready.front());
   best->ready.pop_front();
   return true;
 }
@@ -425,19 +393,24 @@ bool InstallCursor::ReadChunk(PartitionId partition) {
   }
   log.read_to += chunk.size();
   log.partial += chunk;
+  const auto partitions = static_cast<std::uint32_t>(last_.size());
   std::size_t parsed = 0;
   wal::ScanLog(
       log.partial,
       [&](const wal::RecordView& record) {
-        RemotePayload payload;
-        if (log.done || !DecodeInstallRecord(record.type, record.payload, dc_,
-                                             num_dcs_, partition, &payload)) {
+        LoggedInstall install;
+        if (log.done || record.type != GeoDurability::kInstallRecord ||
+            !wire::DecodeGeoPayloadUpdate(record.payload, &install.update) ||
+            !wire::FitsDeployment(install.update, num_dcs_, partitions) ||
+            install.update.partition != partition ||
+            install.update.origin != dc_) {
           return;
         }
-        const Timestamp ts = payload.vts[dc_];
+        const Timestamp ts = install.update.vts[dc_];
         log.done = ts > last_[partition];  // appended after the cursor opened
         if (!log.done && ts > mark_) {
-          log.ready.push_back(std::move(payload));
+          install.body.assign(record.payload);
+          log.ready.push_back(std::move(install));
         }
       },
       &parsed);
@@ -462,8 +435,11 @@ bool GeoDurability::SnapshotDue() const {
 void GeoDurability::Snapshot(Timestamp install_truncate_mark) {
   assert(inbound_log_ != nullptr);
   const VectorTimestamp site_time = runtime_->receiver().site_time();
-  const std::string framed =
-      FrameSnapshot(site_time, local_ts_mark_, sessions_, *runtime_);
+  // One buffer of exactly the snapshot's size.
+  std::string framed;
+  framed.reserve(LayOutSnapshot(nullptr, site_time, local_ts_mark_, sessions_,
+                                *runtime_));
+  LayOutSnapshot(&framed, site_time, local_ts_mark_, sessions_, *runtime_);
   // Snapshot FIRST, truncate after: if the crash lands between the two, the
   // logs still hold everything the snapshot also covers (replay dedups). The
   // reverse order could truncate entries the snapshot never captured.
@@ -473,44 +449,35 @@ void GeoDurability::Snapshot(Timestamp install_truncate_mark) {
   }
   ++snapshots_taken_;
 
-  inbound_log_->Compact([this, &site_time](const wal::RecordView& record) {
+  // Both filters drop what recovery would reject anyway.
+  const std::uint32_t num_dcs = options_.num_dcs;
+  const std::uint32_t partitions = options_.partitions;
+  const auto unapplied = [&site_time](const RemoteUpdate& u) {
+    return u.vts[u.origin] > site_time[u.origin];
+  };
+  inbound_log_->Compact([&](const wal::RecordView& record) {
     if (record.type == kInboundMetaRecord) {
-      std::vector<RemoteUpdate> batch;
-      if (!DecodeMetaRecord(record.payload, options_.num_dcs, &batch)) {
-        return false;  // undecodable: drop
-      }
-      for (const RemoteUpdate& u : batch) {
-        if (u.origin < site_time.size() && u.vts[u.origin] > site_time[u.origin]) {
-          return true;  // at least one update not yet applied
-        }
-      }
-      return false;
+      wire::GeoMetaBatchMsg msg;
+      return wire::DecodeGeoMetaBatch(record.payload, &msg) &&
+             wire::FitsDeployment(msg, num_dcs, partitions) &&
+             std::any_of(msg.updates.begin(), msg.updates.end(), unapplied);
     }
     if (record.type == kInboundPayloadRecord) {
-      PartitionId partition = 0;
-      RemotePayload payload;
-      if (!DecodePayloadRecord(record.payload, options_.num_dcs, &partition,
-                               &payload)) {
-        return false;
-      }
-      return payload.origin < site_time.size() &&
-             payload.vts[payload.origin] > site_time[payload.origin];
+      RemoteUpdate u;
+      return wire::DecodeGeoPayloadUpdate(record.payload, &u) &&
+             wire::FitsDeployment(u, num_dcs, partitions) && unapplied(u);
     }
     return true;  // unknown record types are preserved verbatim
   });
   if (install_truncate_mark > 0) {
     const DatacenterId self = options_.dc;
     for (auto& log : install_logs_) {
-      log->Compact([this, self, install_truncate_mark](
-                       const wal::RecordView& record) {
-        PartitionId partition = 0;
-        RemotePayload payload;
-        if (record.type != kInstallRecord ||
-            !DecodePayloadRecord(record.payload, options_.num_dcs, &partition,
-                                 &payload)) {
-          return false;
-        }
-        return payload.vts[self] > install_truncate_mark;
+      log->Compact([&](const wal::RecordView& record) {
+        RemoteUpdate u;
+        return record.type == kInstallRecord &&
+               wire::DecodeGeoPayloadUpdate(record.payload, &u) &&
+               wire::FitsDeployment(u, num_dcs, partitions) &&
+               u.vts[self] > install_truncate_mark;
       });
     }
   }

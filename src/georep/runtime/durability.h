@@ -27,7 +27,20 @@
 //   inbound        one log for all remote traffic: kInboundMetaRecord /
 //                  kInboundPayloadRecord entries in arrival order, which
 //                  preserves the per-origin FIFO the receiver relies on
-//   snap           one framed kGeoSnapshotRecord, replaced atomically
+//   snap           the latest snapshot, replaced atomically
+//
+// Every log record is the body of the wire message it logs (geo_wire.h):
+// an install or inbound payload is a kGeoPayload body, an inbound metadata
+// batch a kGeoMetaBatch body. So catch-up ships an install record as it
+// lies, and recovery applies the shape check PeerLinks::OnFrame applies
+// (wire::FitsDeployment) to every record it replays.
+//
+// A snapshot is a stream of kGeoSnapshotRecord records, none larger than
+// wal::kMaxRecordBytes (a longer length field reads as a torn tail): a
+// header with the site time, the clock marks and the entry counts, then
+// the session and store entries packed in order into as many records as
+// they need, no entry split between two. A snapshot missing any record is
+// ignored as a whole, like a corrupt one.
 //
 // Recovery = restore the snapshot, then replay the install logs through
 // RestoreLocalUpdate (re-priming clocks, re-enqueueing for stabilization
@@ -55,6 +68,8 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -75,6 +90,14 @@ struct GeoDurabilityOptions {
   std::uint64_t snapshot_interval_bytes = 1u << 20;
 };
 
+// One logged install as InstallCursor yields it: the record, which is the
+// kGeoPayload body catch-up ships unchanged, and the metadata it is ordered
+// and replayed by (update.partition is the install's partition).
+struct LoggedInstall {
+  RemoteUpdate update;
+  std::string body;
+};
+
 // Forward cursor over the install logs (GeoDurability::ReadInstalls): yields
 // every install logged before it opened with own timestamp above the mark,
 // merged across partitions in (timestamp, partition) order — the order
@@ -90,7 +113,7 @@ class InstallCursor {
                 Timestamp mark, std::vector<Timestamp> last);
 
   // False when nothing is ready yet (call again) or the cursor is done().
-  bool Next(PartitionId* partition, RemotePayload* payload);
+  bool Next(LoggedInstall* install);
   bool done() const;
 
  private:
@@ -98,7 +121,7 @@ class InstallCursor {
     std::uint64_t read_to = 0;  // file offset read so far
     bool done = false;          // nothing more to read
     std::string partial;        // a record split across chunks
-    std::deque<RemotePayload> ready;  // decoded, in log order
+    std::deque<LoggedInstall> ready;  // in log order
   };
 
   // Reads and decodes the log's next chunk. False while it still has no
@@ -112,6 +135,19 @@ class InstallCursor {
   const std::vector<Timestamp> last_;  // per partition, at open
   std::vector<Log> logs_;              // per partition
 };
+
+// A decoded `snap` file.
+struct GeoSnapshot {
+  VectorTimestamp site_time;
+  std::vector<Timestamp> clock_marks;  // per partition
+  std::vector<std::pair<ClientId, VectorTimestamp>> sessions;
+  std::vector<std::vector<std::pair<Key, GeoVersion>>> stores;  // per partition
+};
+
+// Decodes a `snap` file of a deployment of that shape. False unless every
+// record it was written as is there and well formed.
+bool DecodeGeoSnapshot(std::string_view file, std::uint32_t num_dcs,
+                       std::uint32_t partitions, GeoSnapshot* snap);
 
 class GeoDurability final : public DurabilityHooks {
  public:

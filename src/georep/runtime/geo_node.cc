@@ -341,7 +341,7 @@ void GeoNode::SendFrontier(DatacenterId, DatacenterId to, Timestamp frontier) {
 
 void GeoNode::SendPayload(DatacenterId, DatacenterId to, PartitionId partition,
                           RemotePayload payload) {
-  links_->SendPayload(to, partition, std::move(payload));
+  links_->SendPayload(to, partition, payload);
 }
 
 void GeoNode::SendApply(DatacenterId, PartitionId, std::function<void()> fn) {

@@ -1,8 +1,7 @@
 #include "src/georep/runtime/geo_wire.h"
 
+#include <algorithm>
 #include <cassert>
-
-#include "src/net/wire_io.h"
 
 namespace eunomia::geo::rt::wire {
 
@@ -18,7 +17,18 @@ using net::wire::io::PutU64;
 // allocation happens.
 constexpr std::uint32_t kMaxVectorEntries = 256;
 
-void PutVts(std::string* out, const VectorTimestamp& vts) {
+// The fields of a kGeoPayload body in front of its value, and the value's
+// length.
+bool ReadPayloadHead(PayloadReader* reader, PartitionId* partition,
+                     std::uint64_t* uid, Key* key, DatacenterId* origin,
+                     VectorTimestamp* vts, std::uint32_t* value_len) {
+  return reader->U32(partition) && reader->U64(uid) && reader->U64(key) &&
+         reader->U32(origin) && ReadVts(reader, vts) && reader->U32(value_len);
+}
+
+}  // namespace
+
+void AppendVts(std::string* out, const VectorTimestamp& vts) {
   PutU32(out, vts.size());
   for (std::uint32_t d = 0; d < vts.size(); ++d) {
     PutU64(out, vts[d]);
@@ -40,7 +50,26 @@ bool ReadVts(PayloadReader* reader, VectorTimestamp* vts) {
   return true;
 }
 
-}  // namespace
+bool FitsDeployment(const RemoteUpdate& update, std::uint32_t num_dcs,
+                    std::uint32_t partitions) {
+  return update.origin < num_dcs && update.partition < partitions &&
+         update.vts.size() == num_dcs;
+}
+
+bool FitsDeployment(const GeoMetaBatchMsg& msg, std::uint32_t num_dcs,
+                    std::uint32_t partitions) {
+  return std::all_of(msg.updates.begin(), msg.updates.end(),
+                     [&](const RemoteUpdate& u) {
+                       return u.origin == msg.origin &&
+                              FitsDeployment(u, num_dcs, partitions);
+                     });
+}
+
+bool FitsDeployment(const GeoPayloadMsg& msg, std::uint32_t num_dcs,
+                    std::uint32_t partitions) {
+  return msg.payload.origin < num_dcs && msg.partition < partitions &&
+         msg.payload.vts.size() == num_dcs;
+}
 
 std::string EncodeGeoHello(const GeoHelloMsg& msg) {
   std::string payload;
@@ -75,7 +104,7 @@ std::string EncodeGeoMetaBatch(DatacenterId origin, const RemoteUpdate* updates,
     PutU64(&payload, u.key);
     PutU32(&payload, u.origin);
     PutU32(&payload, u.partition);
-    PutVts(&payload, u.vts);
+    AppendVts(&payload, u.vts);
   }
   assert(payload.size() <= net::wire::kMaxPayloadBytes);
   return payload;
@@ -118,27 +147,40 @@ bool DecodeGeoFrontier(std::string_view payload, GeoFrontierMsg* msg) {
          reader.done();
 }
 
-std::string EncodeGeoPayload(const GeoPayloadMsg& msg) {
-  std::string payload;
-  payload.reserve(32 + 8 * msg.payload.vts.size() + msg.payload.value.size());
-  PutU32(&payload, msg.partition);
-  PutU64(&payload, msg.payload.uid);
-  PutU64(&payload, msg.payload.key);
-  PutU32(&payload, msg.payload.origin);
-  PutVts(&payload, msg.payload.vts);
-  PutU32(&payload, static_cast<std::uint32_t>(msg.payload.value.size()));
-  payload.append(msg.payload.value);
-  assert(payload.size() <= net::wire::kMaxPayloadBytes);
-  return payload;
+std::string EncodeGeoPayload(PartitionId partition,
+                             const RemotePayload& payload) {
+  std::string out;
+  out.reserve(32 + 8 * payload.vts.size() + payload.value.size());
+  PutU32(&out, partition);
+  PutU64(&out, payload.uid);
+  PutU64(&out, payload.key);
+  PutU32(&out, payload.origin);
+  AppendVts(&out, payload.vts);
+  PutU32(&out, static_cast<std::uint32_t>(payload.value.size()));
+  out.append(payload.value);
+  assert(out.size() <= net::wire::kMaxPayloadBytes);
+  return out;
 }
 
 bool DecodeGeoPayload(std::string_view payload, GeoPayloadMsg* msg) {
   PayloadReader reader(payload);
+  RemotePayload& p = msg->payload;
   std::uint32_t value_len = 0;
-  return reader.U32(&msg->partition) && reader.U64(&msg->payload.uid) &&
-         reader.U64(&msg->payload.key) && reader.U32(&msg->payload.origin) &&
-         ReadVts(&reader, &msg->payload.vts) && reader.U32(&value_len) &&
-         reader.Bytes(value_len, &msg->payload.value) && reader.done();
+  if (!ReadPayloadHead(&reader, &msg->partition, &p.uid, &p.key, &p.origin,
+                       &p.vts, &value_len)) {
+    return false;
+  }
+  return reader.Bytes(value_len, &p.value) && reader.done();
+}
+
+bool DecodeGeoPayloadUpdate(std::string_view payload, RemoteUpdate* update) {
+  PayloadReader reader(payload);
+  std::uint32_t value_len = 0;
+  if (!ReadPayloadHead(&reader, &update->partition, &update->uid, &update->key,
+                       &update->origin, &update->vts, &value_len)) {
+    return false;
+  }
+  return reader.remaining() == value_len;
 }
 
 std::string EncodeGeoAck(const GeoAckMsg& msg) {

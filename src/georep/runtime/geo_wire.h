@@ -8,6 +8,12 @@
 // deployment shape (which must match the acceptor's) and the link kind.
 // All decoders return false on any structural violation; callers drop the
 // session.
+//
+// The geo WAL (GeoDurability) logs these bodies as its records: an install
+// or inbound payload is a kGeoPayload body, an inbound metadata batch a
+// kGeoMetaBatch body, and the snapshot encodes its vectors with AppendVts.
+// So this file and src/net/wire.cc hold the only codecs of updates,
+// payloads and vector timestamps.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +24,7 @@
 #include "src/common/types.h"
 #include "src/georep/remote_update.h"
 #include "src/net/wire.h"
+#include "src/net/wire_io.h"
 
 namespace eunomia::geo::rt::wire {
 
@@ -73,6 +80,23 @@ struct GeoAckMsg {
   std::uint64_t applied = 0;    // durable SiteTime component for the peer
 };
 
+// A vector timestamp: width u32, then one u64 per entry. ReadVts rejects a
+// zero or implausibly wide vector before allocating.
+void AppendVts(std::string* out, const VectorTimestamp& vts);
+bool ReadVts(net::wire::io::PayloadReader* reader, VectorTimestamp* vts);
+
+// The deployment-shape check a decoded update must pass before the runtime
+// sees it, whether it came off a link (PeerLinks::OnFrame) or out of the
+// WAL (GeoDurability): a known origin, an existing partition and a vector
+// timestamp of the deployment's width. A metadata batch must also come
+// from one origin, its own.
+bool FitsDeployment(const RemoteUpdate& update, std::uint32_t num_dcs,
+                    std::uint32_t partitions);
+bool FitsDeployment(const GeoMetaBatchMsg& msg, std::uint32_t num_dcs,
+                    std::uint32_t partitions);
+bool FitsDeployment(const GeoPayloadMsg& msg, std::uint32_t num_dcs,
+                    std::uint32_t partitions);
+
 std::string EncodeGeoHello(const GeoHelloMsg& msg);
 bool DecodeGeoHello(std::string_view payload, GeoHelloMsg* msg);
 
@@ -84,8 +108,13 @@ bool DecodeGeoMetaBatch(std::string_view payload, GeoMetaBatchMsg* msg);
 std::string EncodeGeoFrontier(const GeoFrontierMsg& msg);
 bool DecodeGeoFrontier(std::string_view payload, GeoFrontierMsg* msg);
 
-std::string EncodeGeoPayload(const GeoPayloadMsg& msg);
+std::string EncodeGeoPayload(PartitionId partition,
+                             const RemotePayload& payload);
 bool DecodeGeoPayload(std::string_view payload, GeoPayloadMsg* msg);
+// A kGeoPayload body's metadata (uid, key, vts, origin, partition) without
+// copying its value: what the install cursor orders a logged install by and
+// replays its metadata from.
+bool DecodeGeoPayloadUpdate(std::string_view payload, RemoteUpdate* update);
 
 std::string EncodeGeoAck(const GeoAckMsg& msg);
 bool DecodeGeoAck(std::string_view payload, GeoAckMsg* msg);

@@ -158,15 +158,17 @@ void PeerLinks::CatchUpStep(DatacenterId peer, std::uint64_t epoch) {
   const std::size_t limit = std::min(kCatchUpInstallsPerTurn,
                                      gw::MaxGeoUpdatesPerFrame(num_dcs_));
   std::vector<RemoteUpdate> metadata;
-  gw::GeoPayloadMsg msg;
-  for (std::size_t n = 0;
-       n < limit && catch_up.installs.Next(&msg.partition, &msg.payload); ++n) {
-    if (msg.payload.vts[dc_] <= catch_up.horizon) {
-      metadata.push_back(RemoteUpdate{msg.payload.uid, msg.payload.key,
-                                      msg.payload.vts, dc_, msg.partition});
+  for (std::size_t n = 0; n < limit; ++n) {
+    LoggedInstall install;
+    if (!catch_up.installs.Next(&install)) {
+      break;
     }
-    if (!send(nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg),
-              msg.partition)) {
+    const PartitionId partition = install.update.partition;
+    if (install.update.vts[dc_] <= catch_up.horizon) {
+      metadata.push_back(std::move(install.update));
+    }
+    // The logged record is the kGeoPayload body: it ships as it lies.
+    if (!send(nw::MsgType::kGeoPayload, std::move(install.body), partition)) {
       return;
     }
   }
@@ -259,12 +261,9 @@ void PeerLinks::SendFrontier(DatacenterId to, Timestamp frontier) {
 }
 
 void PeerLinks::SendPayload(DatacenterId to, PartitionId partition,
-                            RemotePayload payload) {
-  gw::GeoPayloadMsg msg;
-  msg.partition = partition;
-  msg.payload = std::move(payload);
-  SendToPeer(to, nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg),
-             partition);
+                            const RemotePayload& payload) {
+  SendToPeer(to, nw::MsgType::kGeoPayload,
+             gw::EncodeGeoPayload(partition, payload), partition);
 }
 
 // --- inbound -----------------------------------------------------------------
@@ -299,14 +298,9 @@ bool PeerLinks::OnFrame(Inbound* link, nw::MsgType type,
   switch (type) {
     case nw::MsgType::kGeoMetaBatch: {
       gw::GeoMetaBatchMsg msg;
-      if (!gw::DecodeGeoMetaBatch(payload, &msg) || msg.origin != link->peer) {
+      if (!gw::DecodeGeoMetaBatch(payload, &msg) || msg.origin != link->peer ||
+          !gw::FitsDeployment(msg, num_dcs_, partitions_)) {
         return false;
-      }
-      for (const RemoteUpdate& u : msg.updates) {
-        if (u.origin != msg.origin || u.partition >= partitions_ ||
-            u.vts.size() != num_dcs_) {
-          return false;
-        }
       }
       Later(0, [this, updates = std::move(msg.updates)] {
         runtime_->OnRemoteMetadata(updates);
@@ -324,8 +318,8 @@ bool PeerLinks::OnFrame(Inbound* link, nw::MsgType type,
     case nw::MsgType::kGeoPayload: {
       gw::GeoPayloadMsg msg;
       if (!gw::DecodeGeoPayload(payload, &msg) ||
-          msg.payload.origin != link->peer || msg.partition >= partitions_ ||
-          msg.payload.vts.size() != num_dcs_) {
+          msg.payload.origin != link->peer ||
+          !gw::FitsDeployment(msg, num_dcs_, partitions_)) {
         return false;
       }
       Later(0, [this, partition = msg.partition,

@@ -111,7 +111,7 @@ class PeerLinks {
                           const std::vector<RemoteUpdate>& batch);
   void SendFrontier(DatacenterId to, Timestamp frontier);
   void SendPayload(DatacenterId to, PartitionId partition,
-                   RemotePayload payload);
+                   const RemotePayload& payload);
 
   // Validates a frame that arrived on `link` (the first must be the hello)
   // and schedules its effect. False: a protocol violation; drop the link.

@@ -17,9 +17,6 @@ using io::PutU16;
 using io::PutU32;
 using io::PutU64;
 
-// One serialized OpRecord: ts u64 | partition u32 | key u64 | tag u64
-// (kOpRecordWireBytes).
-
 // Bulk-encodes `count` ops through a raw cursor (the caller sized the
 // buffer); one op is ts u64 | partition u32 | key u64 | tag u64
 // (kOpRecordWireBytes). Per-field Put* appends cost a capacity check and a
@@ -240,27 +237,45 @@ bool DecodeHelloAck(std::string_view payload, HelloAckMsg* msg) {
          reader.U32(&msg->num_partitions) && reader.done();
 }
 
-std::string EncodeSubmitBatch(PartitionId partition, const OpRecord* ops,
-                              std::size_t count) {
+void AppendSubmitBatch(PartitionId partition, const OpRecord* ops,
+                       std::size_t count, std::string* out) {
   assert(count <= kMaxOpsPerFrame);
-  std::string payload;
-  payload.resize(8 + count * kOpRecordWireBytes);
-  char* p = payload.data();
+  const std::size_t base = out->size();
+  out->resize(base + 8 + count * kOpRecordWireBytes);
+  char* p = out->data() + base;
   io::StoreU32(p, partition);
   io::StoreU32(p + 4, static_cast<std::uint32_t>(count));
   StoreOps(p + 8, ops, count);
+}
+
+bool PeekSubmitBatchLastOp(std::string_view payload, OpOrderKey* last) {
+  if (payload.size() < 8) {
+    return false;
+  }
+  const std::uint32_t count = GetU32(payload.data() + 4);
+  if (count == 0 ||
+      payload.size() != 8 + std::size_t{count} * kOpRecordWireBytes) {
+    return false;
+  }
+  const char* op = payload.data() + payload.size() - kOpRecordWireBytes;
+  *last = OpOrderKey{GetU64(op), GetU32(op + 8)};
+  return true;
+}
+
+std::string EncodeSubmitBatch(PartitionId partition, const OpRecord* ops,
+                              std::size_t count) {
+  std::string payload;
+  AppendSubmitBatch(partition, ops, count, &payload);
   return payload;
 }
 
 std::string EncodeSubmitBatchFrame(PartitionId partition, const OpRecord* ops,
                                    std::size_t count) {
-  assert(count <= kMaxOpsPerFrame);
+  // The header hole, then the body behind it, in one allocation.
   std::string frame;
-  frame.resize(kHeaderBytes + 8 + count * kOpRecordWireBytes);
-  char* p = frame.data() + kHeaderBytes;
-  io::StoreU32(p, partition);
-  io::StoreU32(p + 4, static_cast<std::uint32_t>(count));
-  StoreOps(p + 8, ops, count);
+  frame.reserve(kHeaderBytes + 8 + count * kOpRecordWireBytes);
+  frame.resize(kHeaderBytes);
+  AppendSubmitBatch(partition, ops, count, &frame);
   return frame;
 }
 

@@ -204,6 +204,17 @@ bool DecodeHello(std::string_view payload, HelloMsg* msg);
 std::string EncodeHelloAck(const HelloAckMsg& msg);
 bool DecodeHelloAck(std::string_view payload, HelloAckMsg* msg);
 
+// Appends a kSubmitBatch body (partition u32 | count u32 | count ops,
+// count <= kMaxOpsPerFrame) to *out: the one writer of that body, behind
+// EncodeSubmitBatch, EncodeSubmitBatchFrame and the service WAL's batch
+// records, which are these bodies.
+void AppendSubmitBatch(PartitionId partition, const OpRecord* ops,
+                       std::size_t count, std::string* out);
+// The order key of a kSubmitBatch body's last op, read in O(1) because ops
+// are fixed width: what the service WAL compacts its batch records by.
+// False when the body is malformed or holds no op.
+bool PeekSubmitBatchLastOp(std::string_view payload, OpOrderKey* last);
+
 // The pointer/count forms exist so senders can chunk a large batch into
 // several ≤ kMaxOpsPerFrame frames without copying sub-vectors.
 std::string EncodeSubmitBatch(PartitionId partition, const OpRecord* ops,

@@ -36,8 +36,11 @@ namespace eunomia::wal {
 
 inline constexpr std::uint32_t kRecordMagic = 0x57414C31;  // "WAL1"
 inline constexpr std::size_t kRecordHeaderBytes = 16;
-// Same ceiling as a wire frame: nothing the WAL stores legitimately
-// approaches this, so a larger length field is corruption, not data.
+// Same ceiling as a wire frame, so a larger length field is corruption, not
+// data. Every writer stays under it by construction: a record that logs a
+// wire message is that message's body, which the frame bound already caps
+// (a service batch record holds at most wire::kMaxOpsPerFrame ops), and a
+// geo snapshot, which can outgrow it, is written as a stream of records.
 inline constexpr std::size_t kMaxRecordBytes = 16u << 20;
 
 struct Record {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/clock/physical_clock.h"
 #include "src/common/random.h"
 #include "src/georep/config.h"
 #include "src/georep/receiver.h"
@@ -26,6 +27,8 @@
 #include "src/georep/runtime/chaos/faulty_env.h"
 #include "src/georep/runtime/chaos/invariants.h"
 #include "src/georep/runtime/chaos/nemesis.h"
+#include "src/georep/runtime/datacenter_runtime.h"
+#include "src/georep/runtime/durability.h"
 #include "src/georep/runtime/geo_node.h"
 #include "src/georep/runtime/geo_wire.h"
 #include "src/metrics/counter.h"
@@ -33,6 +36,8 @@
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
+#include "src/wal/log.h"
+#include "tests/manual_environment.h"
 
 namespace eunomia {
 namespace {
@@ -345,9 +350,41 @@ TEST(Nemesis, PlantedBugIsCaughtAndReproducible) {
 
 // --- geo wire codec fuzz-lite ------------------------------------------------
 
+// A valid `snap` file: one datacenter's snapshot after a few writes from
+// two client sessions.
+std::string SampleSnapshot(const GeoConfig& config) {
+  testenv::ManualEnvironment env;
+  wal::MemDisk disk;
+  geo::rt::GeoDurabilityOptions dopts;
+  dopts.disk = &disk;
+  dopts.num_dcs = config.num_dcs;
+  dopts.partitions = config.partitions_per_dc;
+  geo::rt::GeoDurability durability(dopts);
+  geo::VisibilityTracker tracker;
+  geo::rt::UidAllocator uids(0, config.num_dcs);
+  geo::rt::SessionMap sessions;
+  sessions[1] = VectorTimestamp(config.num_dcs);
+  sessions[2] = VectorTimestamp(config.num_dcs);
+  geo::rt::DatacenterRuntime runtime(
+      0, config, &env, &tracker, &uids, &sessions,
+      std::vector<PhysicalClock>(config.partitions_per_dc), &durability);
+  durability.Recover(&runtime, &sessions);
+  for (int i = 0; i < 6; ++i) {
+    runtime.ClientUpdate(/*client=*/1 + i % 2, static_cast<Key>(i),
+                         "v" + std::to_string(i), [] {});
+  }
+  durability.Snapshot(0);
+  std::string snap;
+  disk.ReadAll("snap", &snap);
+  return snap;
+}
+
 // Every truncation of a valid frame must be rejected, and no corruption may
 // crash a decoder (flipped frames may still decode — only structural
-// integrity is enforced at this layer). Fixed seed: failures replay.
+// integrity is enforced at this layer). The snapshot decoder recovery uses
+// is in the matrix too: the whole file, and each of its records with the
+// flip made under a valid CRC, so it reaches the decoder. Fixed seed:
+// failures replay.
 TEST(GeoWireFuzz, TruncationsRejectedAndBitFlipsNeverCrash) {
   gw::GeoHelloMsg hello;
   hello.dc = 1;
@@ -371,11 +408,36 @@ TEST(GeoWireFuzz, TruncationsRejectedAndBitFlipsNeverCrash) {
   payload_msg.payload =
       RemotePayload{9, 7, "value-bytes", VectorTimestamp(3), 1};
 
+  const GeoConfig config = SmallConfig(3, /*scalar=*/false);
+  const std::string snap = SampleSnapshot(config);
+  std::vector<wal::Record> snap_records;
+  ASSERT_EQ(wal::ReadLog(snap, &snap_records), wal::LogState::kClean);
+  ASSERT_EQ(snap_records.size(), 2u);  // the header, then every entry
+  const auto decode_snapshot = [config](std::string_view file) {
+    geo::rt::GeoSnapshot decoded;
+    return geo::rt::DecodeGeoSnapshot(file, config.num_dcs,
+                                      config.partitions_per_dc, &decoded);
+  };
+  // The file with record `i`'s payload replaced and framed afresh.
+  const auto with_record = [snap_records, decode_snapshot](std::size_t i) {
+    return [snap_records, decode_snapshot, i](std::string_view payload) {
+      std::string file;
+      for (std::size_t r = 0; r < snap_records.size(); ++r) {
+        wal::AppendRecord(&file, snap_records[r].type,
+                          r == i ? payload : snap_records[r].payload);
+      }
+      return decode_snapshot(file);
+    };
+  };
+
   struct Codec {
     std::string frame;
     std::function<bool(std::string_view)> decode;
   };
   const std::vector<Codec> codecs = {
+      {snap, decode_snapshot},
+      {snap_records[0].payload, with_record(0)},
+      {snap_records[1].payload, with_record(1)},
       {gw::EncodeGeoHello(hello),
        [](std::string_view p) {
          gw::GeoHelloMsg m;
@@ -391,10 +453,15 @@ TEST(GeoWireFuzz, TruncationsRejectedAndBitFlipsNeverCrash) {
          gw::GeoFrontierMsg m;
          return gw::DecodeGeoFrontier(p, &m);
        }},
-      {gw::EncodeGeoPayload(payload_msg),
+      {gw::EncodeGeoPayload(payload_msg.partition, payload_msg.payload),
        [](std::string_view p) {
          gw::GeoPayloadMsg m;
          return gw::DecodeGeoPayload(p, &m);
+       }},
+      {gw::EncodeGeoPayload(payload_msg.partition, payload_msg.payload),
+       [](std::string_view p) {
+         RemoteUpdate u;
+         return gw::DecodeGeoPayloadUpdate(p, &u);
        }},
   };
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -40,6 +41,7 @@
 #include "src/net/epoll_transport.h"
 #include "src/sim/simulator.h"
 #include "src/wal/disk.h"
+#include "src/wal/log.h"
 #include "src/wal/log_writer.h"
 #include "tests/manual_environment.h"
 
@@ -789,6 +791,97 @@ INSTANTIATE_TEST_SUITE_P(Fsync, PeerLinksDurableFrontier,
                                            wal::FsyncPolicy::kInterval,
                                            wal::FsyncPolicy::kOff),
                          ::testing::PrintToStringParamName());
+
+// Catch-up ships each logged install as it lies: the install record is the
+// kGeoPayload body, so every replayed payload frame is byte for byte the
+// record it came from, with no decode and re-encode between.
+TEST(PeerLinksCatchUp, ReplayedPayloadsAreTheLoggedRecordsVerbatim) {
+  const GeoConfig config = SmallConfig(2, /*scalar=*/false);
+  wal::MemDisk disk;
+  RecordingSeam seam;
+  testenv::ManualEnvironment env;
+  DurableDc dc(config, &disk, wal::FsyncPolicy::kPerCommit, &env, &seam);
+  constexpr int kInstalls = 10;
+  for (int i = 0; i < kInstalls; ++i) {
+    dc.runtime->ClientUpdate(/*client=*/1, static_cast<Key>(i),
+                             "value-" + std::to_string(i), [] {});
+  }
+  std::vector<std::string> logged;
+  for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
+    std::string bytes;
+    ASSERT_TRUE(
+        disk.ReadAll(geo::rt::GeoDurability::InstallLogName(p), &bytes));
+    std::vector<wal::Record> records;
+    wal::ReadLog(bytes, &records);
+    for (const wal::Record& record : records) {
+      logged.push_back(record.payload);
+    }
+  }
+  ASSERT_EQ(logged.size(), static_cast<std::size_t>(kInstalls));
+
+  // The manual environment drops the live fan-out, so every payload frame
+  // on the seam is a replayed one.
+  ASSERT_TRUE(dc.links->Dial(1));
+  dc.links->Start();
+  env.RunDue();
+  std::vector<std::string> replayed;
+  for (const auto& [type, frame] : seam.sent) {
+    if (type == net::wire::MsgType::kGeoPayload) {
+      replayed.push_back(frame);
+    }
+  }
+  std::sort(logged.begin(), logged.end());
+  std::sort(replayed.begin(), replayed.end());
+  EXPECT_EQ(replayed, logged);
+  dc.links->Stop();
+}
+
+// A snapshot larger than one WAL record (wal::kMaxRecordBytes) is written as
+// a stream of records under the bound, so it survives recovery: after the
+// install logs are truncated below it and the node crashes, every key comes
+// back from the snapshot alone.
+TEST(GeoDurable, SnapshotAboveTheRecordBoundRecoversEveryKey) {
+  const GeoConfig config = SmallConfig(1, /*scalar=*/false);
+  wal::MemDisk disk;
+  RecordingSeam seam;
+  testenv::ManualEnvironment env;
+  constexpr int kKeys = 20;
+  const auto value_of = [](int i) {
+    return std::string(1u << 20, static_cast<char>('a' + i));
+  };
+  {
+    DurableDc dc(config, &disk, wal::FsyncPolicy::kPerCommit, &env, &seam);
+    for (int i = 0; i < kKeys; ++i) {
+      dc.runtime->ClientUpdate(/*client=*/1, static_cast<Key>(i), value_of(i),
+                               [] {});
+    }
+    dc.durability->Snapshot(std::numeric_limits<Timestamp>::max());
+    ASSERT_EQ(dc.durability->snapshots_taken(), 1u);
+  }
+  std::string snap;
+  ASSERT_TRUE(disk.ReadAll("snap", &snap));
+  ASSERT_GT(snap.size(), wal::kMaxRecordBytes);
+  for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
+    std::string bytes;
+    disk.ReadAll(geo::rt::GeoDurability::InstallLogName(p), &bytes);
+    EXPECT_TRUE(bytes.empty()) << "partition " << p << " kept its installs";
+  }
+
+  disk.Crash();
+  testenv::ManualEnvironment env2;
+  RecordingSeam seam2;
+  DurableDc recovered(config, &disk, wal::FsyncPolicy::kPerCommit, &env2,
+                      &seam2);
+  int found = 0;
+  for (PartitionId p = 0; p < config.partitions_per_dc; ++p) {
+    recovered.runtime->StoreAt(p).ForEach(
+        [&](Key key, const geo::GeoVersion& version) {
+          EXPECT_EQ(version.value, value_of(static_cast<int>(key)));
+          ++found;
+        });
+  }
+  EXPECT_EQ(found, kKeys);
+}
 
 }  // namespace
 }  // namespace eunomia

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/georep/eunomiakv.h"
-#include "src/harness/geo_experiment.h"
+#include "bench/harness/geo_experiment.h"
 #include "src/sequencer/seq_system.h"
 #include "src/workload/workload.h"
 

@@ -396,11 +396,9 @@ struct FakePeer {
     meta->SendFrame(nw::MsgType::kGeoMetaBatch,
                     gw::EncodeGeoMetaBatch(origin, batch.data(), batch.size()));
   }
-  void SendPayload(PartitionId partition, RemotePayload p) {
-    gw::GeoPayloadMsg msg;
-    msg.partition = partition;
-    msg.payload = std::move(p);
-    payload->SendFrame(nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg));
+  void SendPayload(PartitionId partition, const RemotePayload& p) {
+    payload->SendFrame(nw::MsgType::kGeoPayload,
+                       gw::EncodeGeoPayload(partition, p));
   }
 };
 
@@ -516,10 +514,8 @@ TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
   // A payload frame on the metadata link is a protocol violation.
   FakePeer misplaced(transport, address, 1, config);
   const auto u = MakeUpdate(1, 1, 1, 0, VectorTimestamp{0, 1, 0});
-  gw::GeoPayloadMsg msg;
-  msg.partition = 0;
-  msg.payload = MakePayload(u, "x");
-  misplaced.meta->SendFrame(nw::MsgType::kGeoPayload, gw::EncodeGeoPayload(msg));
+  misplaced.meta->SendFrame(nw::MsgType::kGeoPayload,
+                            gw::EncodeGeoPayload(0, MakePayload(u, "x")));
 
   // A hello claiming a mismatched deployment shape is rejected outright.
   GeoConfig wrong = config;
@@ -835,7 +831,7 @@ TEST(GeoWireTest, PayloadRoundTrip) {
   gw::GeoPayloadMsg msg;
   msg.partition = 2;
   msg.payload = RemotePayload{77, 5, "hello-world", VectorTimestamp{9, 8, 7}, 2};
-  const std::string payload = gw::EncodeGeoPayload(msg);
+  const std::string payload = gw::EncodeGeoPayload(msg.partition, msg.payload);
   gw::GeoPayloadMsg out;
   ASSERT_TRUE(gw::DecodeGeoPayload(payload, &out));
   EXPECT_EQ(out.partition, 2u);

@@ -2,8 +2,8 @@
 // the sequencer geo-system specifics (in-order shipping, straggler hook).
 #include <gtest/gtest.h>
 
-#include "src/harness/geo_experiment.h"
-#include "src/harness/table.h"
+#include "bench/harness/geo_experiment.h"
+#include "bench/harness/table.h"
 #include "src/sequencer/seq_system.h"
 #include "src/workload/workload.h"
 

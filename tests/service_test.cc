@@ -13,6 +13,10 @@
 #include "src/common/random.h"
 #include "src/eunomia/leader.h"
 #include "src/eunomia/service.h"
+#include "src/eunomia/service_wal.h"
+#include "src/net/wire.h"
+#include "src/wal/disk.h"
+#include "src/wal/log.h"
 
 namespace eunomia {
 namespace {
@@ -609,6 +613,72 @@ TEST(FtEunomiaServiceTest, ConcurrentStopAndSubmittersNeverCrash) {
     submitter.join();
   }
   SUCCEED();
+}
+
+// --- the service WAL's record format -----------------------------------------
+
+std::vector<wal::Record> LoggedRecords(wal::Disk* disk, PartitionId p) {
+  std::string bytes;
+  EXPECT_TRUE(disk->ReadAll(ServiceWal::LogName(p), &bytes));
+  std::vector<wal::Record> records;
+  EXPECT_EQ(wal::ReadLog(bytes, &records), wal::LogState::kClean);
+  return records;
+}
+
+// The WAL logs the bodies of the messages that carry what it logs: a batch
+// record is a kSubmitBatch body and a heartbeat record a kHeartbeat body,
+// each read back by the wire codec itself.
+TEST(ServiceWalFormat, RecordsAreSubmitBatchAndHeartbeatBodies) {
+  wal::MemDisk disk;
+  ServiceDurability options;
+  options.disk = &disk;
+  ServiceWal wal(/*num_partitions=*/2, options);
+  wal.Recover();
+  const std::vector<OpRecord> batch = MakeBatch(1, 100, 5);
+  ASSERT_TRUE(wal.LogBatch(1, batch));
+  wal.LogHeartbeat(1, 12'345);
+
+  const std::vector<wal::Record> records = LoggedRecords(&disk, 1);
+  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records[0].type, ServiceWal::kBatchRecord);
+  net::wire::SubmitBatchMsg submitted;
+  ASSERT_TRUE(net::wire::DecodeSubmitBatch(records[0].payload, &submitted));
+  EXPECT_EQ(submitted.partition, 1u);
+  EXPECT_EQ(submitted.ops, batch);
+  ASSERT_EQ(records[1].type, ServiceWal::kHeartbeatRecord);
+  net::wire::HeartbeatMsg heartbeat;
+  ASSERT_TRUE(net::wire::DecodeHeartbeat(records[1].payload, &heartbeat));
+  EXPECT_EQ(heartbeat.partition, 1u);
+  EXPECT_EQ(heartbeat.ts, 12'345u);
+}
+
+// A record holds at most kMaxOpsPerFrame ops, the bound that keeps it under
+// wal::kMaxRecordBytes: a larger in-process batch is logged as consecutive
+// records, and recovery returns the same ops in the same order.
+TEST(ServiceWalFormat, BatchAboveTheFrameBoundIsSplitAndRecoversWhole) {
+  wal::MemDisk disk;
+  ServiceDurability options;
+  options.disk = &disk;
+  const int count = static_cast<int>(net::wire::kMaxOpsPerFrame) + 3;
+  const std::vector<OpRecord> batch = MakeBatch(0, 1, count);
+  {
+    ServiceWal wal(/*num_partitions=*/1, options);
+    wal.Recover();
+    ASSERT_TRUE(wal.LogBatch(0, batch));
+  }
+  const std::vector<wal::Record> records = LoggedRecords(&disk, 0);
+  ASSERT_EQ(records.size(), 2u);
+  for (const wal::Record& record : records) {
+    EXPECT_LE(record.payload.size(), wal::kMaxRecordBytes);
+  }
+
+  ServiceWal recovered(/*num_partitions=*/1, options);
+  const ServiceWal::Recovered state = recovered.Recover();
+  std::vector<OpRecord> ops;
+  for (const std::vector<OpRecord>& logged : state.batches[0]) {
+    ops.insert(ops.end(), logged.begin(), logged.end());
+  }
+  EXPECT_EQ(ops, batch);
 }
 
 }  // namespace
