@@ -46,6 +46,9 @@ namespace {
 
 namespace chaos = geo::rt::chaos;
 
+// A geo node runs on its transport's io loop, so the transport has one.
+const net::EpollTransport::Options kOneLoop{.num_io_threads = 1};
+
 bool ParsePlant(const std::string& name, chaos::Plant* plant) {
   if (name == "none") {
     *plant = chaos::Plant::kNone;
@@ -260,8 +263,8 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
       static_cast<long long>((kill_after + dead_for).count()));
 
   // Declared before the nodes: a GeoNode's Stop touches its transport.
-  auto transport0 = std::make_unique<net::EpollTransport>();
-  auto transport1 = std::make_unique<net::EpollTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>(kOneLoop);
+  auto transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -353,7 +356,7 @@ TcpScenarioResult RunTcpReconnectScenario(bool smoke) {
   std::this_thread::sleep_for(dead_for);
   // Reboot dc1 on the same address (fresh transport, fresh empty runtime).
   // dc0's background re-dial loop finds it and replays its install WAL.
-  transport1 = std::make_unique<net::EpollTransport>();
+  transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   if (node1->Listen(addr1).empty()) {
     std::printf("ERROR: dc1 could not rebind %s after restart\n",

@@ -101,7 +101,9 @@ int RunSmoke(std::uint32_t num_dcs, std::uint32_t partitions) {
   std::vector<std::unique_ptr<geo::rt::GeoNode>> nodes;
   std::vector<std::string> addresses;
   for (DatacenterId m = 0; m < num_dcs; ++m) {
-    transports.push_back(std::make_unique<net::EpollTransport>());
+    // A geo node runs on its transport's io loop, so the transport has one.
+    transports.push_back(std::make_unique<net::EpollTransport>(
+        net::EpollTransport::Options{.num_io_threads = 1}));
     geo::rt::GeoNode::Options node_options;
     node_options.dc = m;
     node_options.config = config;
@@ -345,7 +347,8 @@ int main(int argc, char** argv) {
   if (flags.Has("metrics-port")) {
     node_options.metrics = &eunomia::metrics::Registry::Default();
   }
-  eunomia::net::EpollTransport transport;
+  // The node runs on the transport's io loop, so the transport has one.
+  eunomia::net::EpollTransport transport({.num_io_threads = 1});
   eunomia::geo::rt::GeoNode node(&transport, node_options);
   const std::string bound =
       node.Listen(flags.Get("listen", "127.0.0.1:9100"));

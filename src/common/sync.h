@@ -96,7 +96,6 @@ inline constexpr LockRank kRankFanoutEmit = 300;    // StableFanout::emit_mu_
 inline constexpr LockRank kRankFanoutListeners = 310;
 inline constexpr LockRank kRankServerPeers = 400;   // net::EunomiaServer
 inline constexpr LockRank kRankClientSession = 410; // net::EunomiaClient
-inline constexpr LockRank kRankEventLoop = 500;     // rt::EventLoop
 inline constexpr LockRank kRankSeqStage = 600;      // sequencer queues
 inline constexpr LockRank kRankServiceInbox = 700;  // per-partition inboxes
 inline constexpr LockRank kRankShardWake = 710;     // shard wakeup

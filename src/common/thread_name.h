@@ -1,6 +1,6 @@
 // Names the calling thread, so ps -L, top -H, perf and
 // /proc/<pid>/task/<tid>/comm tell the long-lived threads apart (e.g.
-// "geo-loop-dc0", "net-io-1").
+// "eun-shard-0", "net-io-1").
 #pragma once
 
 #include <string>

@@ -272,6 +272,7 @@ void GeoDurability::Recover(DatacenterRuntime* runtime, SessionMap* sessions) {
   if (options_.disk->ReadAll(kSnapName, &snap_bytes) &&
       DecodeGeoSnapshot(snap_bytes, options_.num_dcs, options_.partitions,
                         &snap)) {
+    last_snapshot_size_ = snap_bytes.size();
     runtime->RestoreSiteTime(snap.site_time);
     for (PartitionId p = 0; p < options_.partitions; ++p) {
       runtime->PrimePartitionClock(p, snap.clock_marks[p]);
@@ -429,7 +430,7 @@ std::uint64_t GeoDurability::BytesLogged() const {
 bool GeoDurability::SnapshotDue() const {
   return inbound_log_ != nullptr &&
          BytesLogged() - bytes_at_last_snapshot_ >=
-             options_.snapshot_interval_bytes;
+             std::max(options_.snapshot_interval_bytes, last_snapshot_size_);
 }
 
 void GeoDurability::Snapshot(Timestamp install_truncate_mark) {
@@ -448,6 +449,7 @@ void GeoDurability::Snapshot(Timestamp install_truncate_mark) {
     return;  // keep the logs intact — they are the only copy
   }
   ++snapshots_taken_;
+  last_snapshot_size_ = framed.size();
 
   // Both filters drop what recovery would reject anyway.
   const std::uint32_t num_dcs = options_.num_dcs;

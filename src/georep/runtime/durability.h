@@ -86,7 +86,9 @@ struct GeoDurabilityOptions {
   std::uint32_t partitions = 0;
   wal::FsyncPolicy fsync = wal::FsyncPolicy::kPerCommit;
   // Snapshot() is cheap to skip: SnapshotDue() gates on this many log bytes
-  // appended since the last snapshot.
+  // appended since the last snapshot, or on the last snapshot's size when
+  // that is larger — so snapshot writes never exceed the log writes they
+  // bound, however large the store grows.
   std::uint64_t snapshot_interval_bytes = 1u << 20;
 };
 
@@ -218,6 +220,7 @@ class GeoDurability final : public DurabilityHooks {
   std::vector<Timestamp> local_ts_mark_;
   bool recovering_ = false;
   std::uint64_t bytes_at_last_snapshot_ = 0;
+  std::uint64_t last_snapshot_size_ = 0;  // written or recovered
   std::uint64_t snapshots_taken_ = 0;
   std::uint64_t append_failures_ = 0;
 };

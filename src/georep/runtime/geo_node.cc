@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,10 +16,24 @@ namespace eunomia::geo::rt {
 namespace gw = ::eunomia::geo::rt::wire;
 namespace nw = ::eunomia::net::wire;
 
-GeoNode::GeoNode(net::Transport* transport, Options options)
+namespace {
+
+net::IoLoop* SoleLoopOf(net::EpollTransport* transport) {
+  net::IoLoop* loop = transport->SingleLoop();
+  if (loop == nullptr) {
+    throw std::invalid_argument(
+        "GeoNode runs on its transport's io loop: the transport needs "
+        "exactly one (EpollTransport::Options::num_io_threads = 1)");
+  }
+  return loop;
+}
+
+}  // namespace
+
+GeoNode::GeoNode(net::EpollTransport* transport, Options options)
     : transport_(transport),
+      loop_(SoleLoopOf(transport)),
       options_(std::move(options)),
-      loop_("geo-loop-dc" + std::to_string(options_.dc)),
       // num_datacenters=2: a per-node tracker sees exactly one visibility
       // report per remote update (its own), so the destination-side stub
       // records reclaim after that single report.
@@ -47,7 +62,7 @@ GeoNode::GeoNode(net::Transport* transport, Options options)
         dc_label);
     telemetry_->loop_pending_tasks = reg.AddGauge(
         "eunomia_georep_loop_pending_tasks",
-        "Tasks queued on the node's event loop and not yet taken by a turn "
+        "Tasks queued on the node's loop and not yet taken by a turn "
         "(posts plus pending timers)",
         dc_label);
     telemetry_->updates_installed = reg.AddCounter(
@@ -117,6 +132,7 @@ bool GeoNode::ConnectPeer(DatacenterId peer, const std::string& address) {
   if (peer >= peers_.size() || peer == options_.dc || started_.load()) {
     return false;
   }
+  // On the caller's thread: until Start the loop leaves node state alone.
   peers_[peer].address = address;
   const std::uint32_t attempts = std::max<std::uint32_t>(
       1, options_.connect_attempts);
@@ -145,9 +161,11 @@ bool GeoNode::Dial(DatacenterId, DatacenterId peer, gw::GeoHelloMsg hello) {
               c.Close();
             },
             // Either link dropping (peer death, partition) fails both over
-            // to the re-dial loop; OnLinkDown dedups the two posts.
+            // to the re-dial loop; OnLinkDown dedups the two posts. Posted,
+            // not inline: it closes the connection reporting the drop.
             [this, peer](net::Connection&, nw::WireError) {
-              loop_.Post([this, peer] { links_->OnLinkDown(peer); });
+              ScheduleAfter(options_.dc, 0,
+                            [this, peer] { links_->OnLinkDown(peer); });
             }});
     if (connection == nullptr) {
       return nullptr;
@@ -206,8 +224,17 @@ void GeoNode::Start() {
   if (started_.exchange(true)) {
     return;
   }
-  loop_.Start();
-  loop_.Post([this] {
+  loop_->Post([this] {
+    // What came in before Start runs first, in arrival order, as it would
+    // on a loop that started here.
+    running_ = true;
+    for (auto& [delay_us, fn] : std::exchange(deferred_, {})) {
+      if (delay_us == 0) {
+        fn();
+      } else {
+        loop_->ScheduleAfter(delay_us, std::move(fn));
+      }
+    }
     runtime_->StartTimers();
     links_->Start();
     if (telemetry_ != nullptr) {
@@ -221,11 +248,9 @@ void GeoNode::Stop() {
     return;
   }
   // Links first (the closes the shutdown reports must not re-dial), then
-  // the transport (joins every delivery thread; blocked sends fail fast),
-  // then the loop.
+  // the transport, which closes every connection and stops the loop.
   links_->Stop();
   transport_->Shutdown();
-  loop_.Stop();
   if (durability_ != nullptr) {
     // Graceful shutdown syncs the tail; only kill -9 loses unsynced bytes.
     durability_->Flush();
@@ -241,7 +266,7 @@ void GeoNode::MetricsTick() {
       static_cast<std::int64_t>(runtime_->BufferedPayloads()));
   t.pending_applies->Set(
       static_cast<std::int64_t>(runtime_->PendingApplyCount()));
-  t.loop_pending_tasks->Set(static_cast<std::int64_t>(loop_.PendingTasks()));
+  t.loop_pending_tasks->Set(static_cast<std::int64_t>(loop_->PendingTasks()));
   // Cumulative runtime/node counters mirror as deltas so the registry
   // series stay monotone across this node's lifetime.
   const auto mirror = [](metrics::Counter& counter, std::uint64_t now,
@@ -264,26 +289,26 @@ void GeoNode::MetricsTick() {
     mirror(*t.wal_append_failures, durability_->append_failures(),
            &t.mirrored_wal_append_failures);
   }
-  loop_.ScheduleAfter(options_.metrics_interval_us, [this] { MetricsTick(); });
+  loop_->ScheduleAfter(options_.metrics_interval_us, [this] { MetricsTick(); });
 }
 
 void GeoNode::ClientRead(ClientId client, Key key,
                          std::function<void()> done) {
-  loop_.Post([this, client, key, done = std::move(done)]() mutable {
+  loop_->Post([this, client, key, done = std::move(done)]() mutable {
     runtime_->ClientRead(client, key, std::move(done));
   });
 }
 
 void GeoNode::ClientUpdate(ClientId client, Key key, Value value,
                            std::function<void()> done) {
-  loop_.Post([this, client, key, value = std::move(value),
+  loop_->Post([this, client, key, value = std::move(value),
               done = std::move(done)]() mutable {
     runtime_->ClientUpdate(client, key, std::move(value), std::move(done));
   });
 }
 
 void GeoNode::PausePayloadsTo(DatacenterId peer, bool paused) {
-  loop_.RunBlocking([this, peer, paused] {
+  loop_->RunBlocking([this, peer, paused] {
     Peer& entry = peers_[peer];
     entry.paused = paused;
     if (!paused) {
@@ -303,7 +328,11 @@ void GeoNode::PausePayloadsTo(DatacenterId peer, bool paused) {
 
 void GeoNode::ScheduleAfter(DatacenterId, std::uint64_t delay_us,
                             std::function<void()> fn) {
-  loop_.ScheduleAfter(delay_us, std::move(fn));
+  if (!running_) {
+    deferred_.emplace_back(delay_us, std::move(fn));
+    return;
+  }
+  loop_->ScheduleAfter(delay_us, std::move(fn));
 }
 
 // The four local hops run inline: partitions, the Eunomia stabilizer and
@@ -351,8 +380,9 @@ void GeoNode::SendApply(DatacenterId, PartitionId, std::function<void()> fn) {
 // --- inbound peer links ------------------------------------------------------
 
 net::ConnectionHandler GeoNode::MakeInboundHandler() {
-  // Per-connection state lives in the handler closure; transports invoke a
-  // connection's callbacks from a single thread, so no lock is needed.
+  // Per-connection state lives in the handler closure; the transport
+  // invokes a connection's callbacks on the node's loop, so no lock is
+  // needed, and the frame reaches PeerLinks on the thread that read it.
   auto link = std::make_shared<PeerLinks::Inbound>();
   net::ConnectionHandler handler;
   handler.on_frame = [this, link](net::Connection& connection,

@@ -1,25 +1,32 @@
 // GeoNode — the real-world binding of the geo-replication runtime: one
-// datacenter of the EunomiaKV deployment on real threads, behind a
-// net::Transport (epoll TCP).
+// datacenter of the EunomiaKV deployment behind a net::EpollTransport (epoll
+// TCP).
 //
-// A node hosts the full DatacenterRuntime on a single event loop, which
-// provides the serialization the Environment contract requires, and its
-// PeerLinks (hellos, catch-up, acks, re-dials), whose two links per peer it
-// dials as transport connections — the §5 data/metadata separation made
-// literal. A rejected inbound frame closes the connection.
+// A node hosts the full DatacenterRuntime on its transport's single io
+// loop, which provides the serialization the Environment contract requires,
+// and its PeerLinks (hellos, catch-up, acks, re-dials), whose two links per
+// peer it dials as transport connections — the §5 data/metadata separation
+// made literal. A rejected inbound frame closes the connection.
 //
-// Partitions, stabilizer and receiver share the loop thread, so the local
-// hops between them run inline: a client operation, an inbound frame and a
-// timer tick are each one loop task, with everything they trigger inside
-// this datacenter (the apply of a released remote update, a flushed batch
-// reaching the stabilizer) done before the task returns. Only what comes
-// from outside a loop task enqueues: timers, inbound frames, link-down
-// reports and client calls.
+// One thread does everything: the io loop that owns every socket of the
+// node also runs its timers and protocol. Partitions, stabilizer and
+// receiver share it, so the local hops between them run inline: a client
+// operation, an inbound frame and a timer tick each run to completion,
+// with everything they trigger inside this datacenter (the apply of a
+// released remote update, a flushed batch reaching the stabilizer) done
+// before they return. An inbound frame reaches PeerLinks on the thread
+// that read it; its effect is an on-loop post that runs in the same
+// iteration. An outbound frame is queued by the thread that owns its
+// socket and flushed with the iteration's other frames in one writev.
+// Only client calls from other threads cross threads (and wake the loop).
+// A re-dial runs on the loop, so its connect() stalls the node for at most
+// net::EpollTransport::kDialTimeoutMs per attempt (an unreachable peer
+// host; a refused connect returns at once).
 //
 // Lifecycle: Listen -> ConnectPeer (for every peer) -> Start -> client
-// traffic -> Stop. Stop shuts the (dedicated) transport down and joins the
-// loop; afterwards every accessor is safe from any thread, while live only
-// through RunBlocking. Client done callbacks run on the loop once the
+// traffic -> Stop. Stop shuts the (dedicated) transport down, which stops
+// the loop; afterwards every accessor is safe from any thread, while live
+// only through RunBlocking. Client done callbacks run on the loop once the
 // operation completed locally.
 #pragma once
 
@@ -35,12 +42,13 @@
 #include "src/georep/config.h"
 #include "src/georep/runtime/datacenter_runtime.h"
 #include "src/georep/runtime/environment.h"
-#include "src/georep/runtime/event_loop.h"
 #include "src/georep/runtime/durability.h"
 #include "src/georep/runtime/peer_links.h"
 #include "src/georep/visibility.h"
 #include "src/metrics/counter.h"
 #include "src/metrics/gauge.h"
+#include "src/net/epoll_transport.h"
+#include "src/net/io_loop.h"
 #include "src/net/transport.h"
 #include "src/wal/disk.h"
 #include "src/wal/log_writer.h"
@@ -74,8 +82,10 @@ class GeoNode final : private Environment, private LinkSeam {
     std::uint64_t metrics_interval_us = 250'000;
   };
 
-  // The transport becomes dedicated to this node; Stop() shuts it down.
-  GeoNode(net::Transport* transport, Options options);
+  // The transport becomes dedicated to this node, which runs on its io
+  // loop; Stop() shuts it down. Throws std::invalid_argument unless the
+  // transport has exactly one io loop (Options::num_io_threads = 1).
+  GeoNode(net::EpollTransport* transport, Options options);
   ~GeoNode() override;
 
   GeoNode(const GeoNode&) = delete;
@@ -91,7 +101,7 @@ class GeoNode final : private Environment, private LinkSeam {
   // re-dials it in the background whenever its links are down.
   bool ConnectPeer(DatacenterId peer, const std::string& address);
 
-  // Starts the event loop and the protocol timers, after ConnectPeer.
+  // Starts the protocol timers, after ConnectPeer.
   void Start();
 
   // Idempotent. Afterwards no callback is running or will run.
@@ -104,9 +114,9 @@ class GeoNode final : private Environment, private LinkSeam {
 
   // --- introspection ---------------------------------------------------------
   DatacenterId dc() const { return options_.dc; }
-  // Runs fn on the event loop and blocks until done — the safe way to read
+  // Runs fn on the node's loop and blocks until done — the safe way to read
   // runtime/tracker state while the node is live.
-  void RunBlocking(std::function<void()> fn) { loop_.RunBlocking(fn); }
+  void RunBlocking(const std::function<void()>& fn) { loop_->RunBlocking(fn); }
   const DatacenterRuntime& runtime() const { return *runtime_; }
   VisibilityTracker& tracker() { return tracker_; }
   const VisibilityTracker& tracker() const { return tracker_; }
@@ -143,8 +153,10 @@ class GeoNode final : private Environment, private LinkSeam {
 
   // Environment implementation (all invoked from the loop thread, or from
   // the constructor's recovery before Start). The four local hops run
-  // inline.
-  std::uint64_t Now() const override { return loop_.Now(); }
+  // inline. ScheduleAfter defers until Start, so before Start the loop
+  // (which runs from the transport's construction) touches no runtime or
+  // link state, and ConnectPeer may dial from the caller's thread.
+  std::uint64_t Now() const override { return net::IoLoop::Now(); }
   void ScheduleAfter(DatacenterId dc, std::uint64_t delay_us,
                      std::function<void()> fn) override;
   void ClientHop(DatacenterId dc, std::function<void()> fn) override;
@@ -177,7 +189,7 @@ class GeoNode final : private Environment, private LinkSeam {
 
   net::ConnectionHandler MakeInboundHandler();
   // Self-rescheduling loop timer (Options::metrics only): samples the
-  // receiver and event-loop queue gauges and delta-mirrors the cumulative
+  // receiver and loop queue gauges and delta-mirrors the cumulative
   // counters into the registry.
   void MetricsTick();
 
@@ -201,9 +213,9 @@ class GeoNode final : private Environment, private LinkSeam {
     std::uint64_t mirrored_wal_append_failures = 0;
   };
 
-  net::Transport* const transport_;
+  net::EpollTransport* const transport_;
+  net::IoLoop* const loop_;  // the transport's only io loop
   const Options options_;
-  EventLoop loop_;
   std::unique_ptr<Telemetry> telemetry_;
   VisibilityTracker tracker_;
   UidAllocator uids_;
@@ -212,6 +224,10 @@ class GeoNode final : private Environment, private LinkSeam {
   std::unique_ptr<DatacenterRuntime> runtime_;
   std::unique_ptr<PeerLinks> links_;  // after runtime_: it drives it
   std::vector<Peer> peers_;  // indexed by DatacenterId; [dc()] unused
+  // Loop-owned (the constructor's recovery aside): true once Start's task
+  // ran; until then ScheduleAfter queues (delay, fn) in deferred_.
+  bool running_ = false;
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> deferred_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> wire_errors_{0};

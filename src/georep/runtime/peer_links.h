@@ -20,7 +20,7 @@
 // truncates its install logs only below state this node has synced.
 // Inbound, it validates each link's frames and hands them to the runtime.
 //
-// GeoNode binds the seam to net::Transport connections on its EventLoop;
+// GeoNode binds the seam to net::Transport connections on its io loop;
 // the chaos harness's FaultyGeoEnvironment to sim::Network channels on
 // epoch-gated simulator events. All members run in the datacenter's
 // execution context (the Environment's timers) except Stop and OnFrame,

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -15,7 +16,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <thread>
 #include <utility>
 
@@ -27,8 +27,10 @@ namespace {
 
 // Reads drain to EAGAIN in chunks of the loop's pooled scratch buffer, but
 // yield back to the loop after this many chunks (re-posting a continuation)
-// so one firehose connection cannot starve its loop-mates.
+// so one firehose connection cannot starve its loop-mates. Flushes yield
+// likewise after this many sendmsg calls.
 constexpr int kMaxChunksPerDispatch = 16;
+constexpr int kMaxWritevsPerFlush = 16;
 
 bool ParseAddress(const std::string& address, sockaddr_in* out,
                   std::string* host) {
@@ -57,6 +59,21 @@ void SetNoDelay(int fd) {
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+// A nonblocking connect in progress: waits for the handshake, at most
+// kDialTimeoutMs. True once the socket is connected.
+bool AwaitConnected(int fd) {
+  pollfd pfd{fd, POLLOUT, 0};
+  int ready;
+  do {
+    ready = ::poll(&pfd, 1, EpollTransport::kDialTimeoutMs);
+  } while (ready < 0 && errno == EINTR);
+  int error = 0;
+  socklen_t len = sizeof(error);
+  return ready == 1 &&
+         ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) == 0 &&
+         error == 0;
 }
 
 }  // namespace
@@ -286,6 +303,7 @@ class EpollTransport::Conn : public Connection,
       return;
     }
     NetMetrics& metrics = NetMetrics::Get();
+    int writes = 0;
     for (;;) {
       iovec iov[kMaxIovPerWritev];
       int iovcnt = 0;
@@ -380,6 +398,18 @@ class EpollTransport::Conn : public Connection,
         // EPOLL_CTL_MOD re-checks readiness, so bytes that arrived while
         // paused fire EPOLLIN again despite edge triggering.
         UpdateInterest();
+      }
+      if (++writes == kMaxWritevsPerFlush) {
+        // Yield to the loop's other work, as reads do: a drained backlog
+        // of megabytes would otherwise hold every task of the loop (a geo
+        // node's clients) for milliseconds. A task continues the flush.
+        sync::MutexLock lock(out_mu_);
+        if (!flush_scheduled_) {
+          flush_scheduled_ = true;
+          lock.Unlock();
+          loop_->Post([self = shared_from_this()] { self->FlushOutbox(); });
+        }
+        return;
       }
     }
   }
@@ -529,21 +559,13 @@ EpollTransport::EpollTransport(Options options) {
 
 EpollTransport::~EpollTransport() { Shutdown(); }
 
+IoLoop* EpollTransport::SingleLoop() {
+  return loops_.size() == 1 ? loops_[0].get() : nullptr;
+}
+
 IoLoop& EpollTransport::NextLoop() {
   const unsigned i = next_loop_.fetch_add(1, std::memory_order_relaxed);
   return *loops_[i % loops_.size()];
-}
-
-void EpollTransport::PostAndWait(IoLoop& loop, std::function<void()> fn) {
-  // Caller is never a loop thread (Listen/Shutdown run on user threads), so
-  // blocking on the loop here cannot self-deadlock.
-  std::promise<void> done;
-  std::future<void> completed = done.get_future();
-  loop.Post([&fn, &done] {
-    fn();
-    done.set_value();
-  });
-  completed.wait();
 }
 
 std::string EpollTransport::Listen(const std::string& address,
@@ -582,7 +604,7 @@ std::string EpollTransport::Listen(const std::string& address,
                                            std::move(handler));
     listener = listener_.get();
   }
-  PostAndWait(*loops_[0], [this, listener, fd] {
+  loops_[0]->RunBlocking([this, listener, fd] {
     (void)loops_[0]->Add(fd, listener, EPOLLIN);  // level-triggered
   });
   return host + ":" + std::to_string(ntohs(bound.sin_port));
@@ -617,11 +639,12 @@ std::shared_ptr<Connection> EpollTransport::Dial(const std::string& address,
   if (fd < 0) {
     return nullptr;
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  SetNonBlocking(fd);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+      (errno != EINPROGRESS || !AwaitConnected(fd))) {
     ::close(fd);
     return nullptr;
   }
-  SetNonBlocking(fd);
   SetNoDelay(fd);
   auto connection = std::make_shared<Conn>(&NextLoop(), fd);
   connection->SetHandler(std::move(handler));
@@ -670,7 +693,7 @@ void EpollTransport::Shutdown() {
   }
   if (listener != nullptr) {
     Listener* raw = listener.get();
-    PostAndWait(*raw->loop(), [raw] { raw->CloseOnLoop(); });
+    raw->loop()->RunBlocking([raw] { raw->CloseOnLoop(); });
   }
   for (const auto& connection : connections) {
     connection->CloseHard();
@@ -679,7 +702,7 @@ void EpollTransport::Shutdown() {
   // a barrier per loop (FIFO after every nudge) means all on_close have
   // fired and every fd is closed once these return.
   for (const auto& loop : loops_) {
-    PostAndWait(*loop, [] {});
+    loop->RunBlocking([] {});
   }
   for (const auto& loop : loops_) {
     loop->Stop();

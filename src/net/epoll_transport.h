@@ -8,7 +8,8 @@
 // buffer, with complete frames decoded in place (FrameDecoder's fast path).
 // Writes go through a bounded per-connection outbox that the loop drains
 // with one sendmsg/writev of up to kMaxIovPerWritev coalesced frames per
-// syscall; EPOLLOUT is armed only while the kernel buffer is full.
+// syscall; EPOLLOUT is armed only while the kernel buffer is full. A flush,
+// like a read, yields to the loop's other work after 16 syscalls.
 //
 // Backpressure: SendFrame blocks while the outbox is at capacity — except
 // on io-loop threads, which must never block on an outbox they drain.
@@ -50,6 +51,15 @@ class EpollTransport : public Transport {
                                    ConnectionHandler handler) override;
   void Shutdown() override;
 
+  // The pool's io loop when it has exactly one, else nullptr. A caller
+  // that runs its own tasks there (a geo node) then shares the thread that
+  // owns every socket of this transport.
+  IoLoop* SingleLoop();
+
+  // Dial waits at most this long for the TCP handshake, so a thread that
+  // dials (a geo node's loop, on a re-dial) stalls at most this long per
+  // attempt at an unreachable host. A refused connect fails at once.
+  static constexpr int kDialTimeoutMs = 1000;
   static constexpr std::size_t kOutboxCapacityBytes = 8u << 20;
   static constexpr int kMaxIovPerWritev = 64;
 
@@ -64,8 +74,6 @@ class EpollTransport : public Transport {
   // Joins nothing (loop threads are shared): drops finished connections
   // from the registry so their fds/buffers free up before Shutdown.
   void ReapFinished();
-  // Runs `fn` on `loop` and blocks until it completed.
-  static void PostAndWait(IoLoop& loop, std::function<void()> fn);
 
   std::vector<std::unique_ptr<IoLoop>> loops_;
   std::atomic<unsigned> next_loop_{0};

@@ -47,6 +47,9 @@ NetMetrics& NetMetrics::Get() {
     m->io_loop_iteration_us = registry.AddHistogram(
         "eunomia_net_io_loop_iteration_us",
         "Busy microseconds per io-loop wakeup (dispatch + posted tasks)");
+    m->timer_lateness_us = registry.AddHistogram(
+        "eunomia_net_io_loop_timer_lateness_microseconds",
+        "Microseconds from an io-loop timer's due time to its start");
     return m;
   }();
   return *instance;

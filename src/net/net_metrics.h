@@ -37,10 +37,12 @@ struct NetMetrics {
   // returns; writev_frames is the number of frames coalesced into each
   // writev (the syscall-amortization signal); io_loop_iteration_us is the
   // busy time per wakeup — readiness dispatch plus posted tasks, excluding
-  // the blocked wait itself.
+  // the blocked wait itself; timer_lateness_us is how late each io-loop
+  // timer started, from its due time.
   std::shared_ptr<metrics::Counter> epoll_wakeups;
   std::shared_ptr<metrics::Histogram> writev_frames;
   std::shared_ptr<metrics::Histogram> io_loop_iteration_us;
+  std::shared_ptr<metrics::Histogram> timer_lateness_us;
 
   void RecordFrameOut(wire::MsgType type, std::size_t bytes) {
     const auto index = static_cast<std::size_t>(type);

@@ -1,4 +1,5 @@
-// Tests for rt::EventLoop, the geo runtime's per-datacenter task loop: the
+// Tests for rt::EventLoop, a wrapper over net::IoLoop — the loop every geo
+// node runs on — so they pin the io loop's timers and tasks: the
 // (due, seq) execution order across posts and timers, posts from many
 // threads, the phase of timers armed in one turn, Stop's discard
 // guarantee, RunBlocking's inline paths, and the queue-depth accessor.

@@ -45,6 +45,9 @@ namespace {
 namespace chaos = geo::rt::chaos;
 namespace gw = geo::rt::wire;
 
+// A geo node runs on its transport's io loop, so the transport has one.
+const net::EpollTransport::Options kOneLoop{.num_io_threads = 1};
+
 using geo::GeoConfig;
 using geo::Receiver;
 using geo::RemotePayload;
@@ -502,7 +505,7 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   GeoNode::Options options1 = options0;
   options1.dc = 1;
 
-  net::EpollTransport transport0;
+  net::EpollTransport transport0(kOneLoop);
   GeoNode node0(&transport0, options0);
   ASSERT_FALSE(node0.Listen("127.0.0.1:0").empty());
 
@@ -510,7 +513,7 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   // address nobody listens on yet.
   std::string addr1;
   {
-    net::EpollTransport probe;
+    net::EpollTransport probe(kOneLoop);
     GeoNode ephemeral(&probe, options1);
     addr1 = ephemeral.Listen("127.0.0.1:0");
     ASSERT_FALSE(addr1.empty());
@@ -521,7 +524,7 @@ TEST(GeoNodeTcp, ConnectPeerRetriesUntilPeerBoots) {
   std::unique_ptr<GeoNode> node1;
   std::thread late_booter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    transport1 = std::make_unique<net::EpollTransport>();
+    transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
     node1 = std::make_unique<GeoNode>(transport1.get(), options1);
     ASSERT_EQ(node1->Listen(addr1), addr1);
   });
@@ -553,8 +556,8 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   options1.dc = 1;
   options1.durability_disk = nullptr;  // dc1 loses everything when it dies
 
-  auto transport0 = std::make_unique<net::EpollTransport>();
-  auto transport1 = std::make_unique<net::EpollTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>(kOneLoop);
+  auto transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -584,7 +587,7 @@ TEST(GeoNodeTcp, PeerDeathReconnectCatchUp) {
   transport1.reset();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
-  transport1 = std::make_unique<net::EpollTransport>();
+  transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));
@@ -675,8 +678,8 @@ TEST(GeoNodeTcp, LocalReadsCompleteWhileCatchUpRuns) {
   options1.durability_disk = nullptr;
   options1.metrics = nullptr;
 
-  auto transport0 = std::make_unique<net::EpollTransport>();
-  auto transport1 = std::make_unique<net::EpollTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>(kOneLoop);
+  auto transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -729,7 +732,7 @@ TEST(GeoNodeTcp, LocalReadsCompleteWhileCatchUpRuns) {
   }
   ASSERT_TRUE(written.load());
 
-  transport1 = std::make_unique<net::EpollTransport>();
+  transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));

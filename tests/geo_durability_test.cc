@@ -58,6 +58,9 @@ namespace {
 namespace chaos = geo::rt::chaos;
 namespace gw = geo::rt::wire;
 
+// A geo node runs on its transport's io loop, so the transport has one.
+const net::EpollTransport::Options kOneLoop{.num_io_threads = 1};
+
 using geo::GeoConfig;
 
 GeoConfig SmallConfig(std::uint32_t num_dcs, bool scalar) {
@@ -311,8 +314,8 @@ TEST_P(GeoNodeTcpDurableFsync,
   options1.dc = 1;
   options1.durability_disk = &disk1;
 
-  auto transport0 = std::make_unique<net::EpollTransport>();
-  auto transport1 = std::make_unique<net::EpollTransport>();
+  auto transport0 = std::make_unique<net::EpollTransport>(kOneLoop);
+  auto transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   auto node0 = std::make_unique<GeoNode>(transport0.get(), options0);
   auto node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   const std::string addr0 = node0->Listen("127.0.0.1:0");
@@ -357,7 +360,7 @@ TEST_P(GeoNodeTcpDurableFsync,
   disk1.Crash();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  transport1 = std::make_unique<net::EpollTransport>();
+  transport1 = std::make_unique<net::EpollTransport>(kOneLoop);
   node1 = std::make_unique<GeoNode>(transport1.get(), options1);
   ASSERT_EQ(node1->Listen(addr1), addr1) << "could not rebind after reboot";
   ASSERT_TRUE(node1->ConnectPeer(0, addr0));
@@ -438,7 +441,7 @@ TEST(GeoNodeTcpDurable, IntervalFsyncSyncsAQuietInstallWithinTheInterval) {
   options.durability_disk = &disk;
   options.fsync = wal::FsyncPolicy::kInterval;
 
-  auto transport = std::make_unique<net::EpollTransport>();
+  auto transport = std::make_unique<net::EpollTransport>(kOneLoop);
   auto node = std::make_unique<GeoNode>(transport.get(), options);
   ASSERT_FALSE(node->Listen("127.0.0.1:0").empty());
   node->Start();
@@ -465,7 +468,7 @@ TEST(GeoNodeTcpDurable, IntervalFsyncSyncsAQuietInstallWithinTheInterval) {
   node.reset();  // its shutdown Flush cannot bring the lost bytes back
   transport.reset();
 
-  transport = std::make_unique<net::EpollTransport>();
+  transport = std::make_unique<net::EpollTransport>(kOneLoop);
   node = std::make_unique<GeoNode>(transport.get(), options);
   node->Start();
   std::string value;
@@ -515,8 +518,8 @@ TEST(GeoNodeTcpDurable, AppendFailuresAreExportedAndWritesStillReplicate) {
   options1.dc = 1;
   options1.durability_disk = nullptr;
 
-  net::EpollTransport transport0;
-  net::EpollTransport transport1;
+  net::EpollTransport transport0(kOneLoop);
+  net::EpollTransport transport1(kOneLoop);
   GeoNode node0(&transport0, options0);
   GeoNode node1(&transport1, options1);
   const std::string addr0 = node0.Listen("127.0.0.1:0");
@@ -834,6 +837,44 @@ TEST(PeerLinksCatchUp, ReplayedPayloadsAreTheLoggedRecordsVerbatim) {
   std::sort(replayed.begin(), replayed.end());
   EXPECT_EQ(replayed, logged);
   dc.links->Stop();
+}
+
+// The snapshot gate scales with the store: after a snapshot of S bytes the
+// next is due only once max(1 MiB, S) more bytes are logged, so snapshot
+// writes never exceed the log writes they bound. A store of a few MiB
+// waits for its own size; a small one keeps the 1 MiB cadence.
+TEST(GeoDurable, SnapshotGateWaitsForTheLastSnapshotsSize) {
+  const GeoConfig config = SmallConfig(1, /*scalar=*/false);
+  // (keys, value bytes): a 4 MiB store, then a 64 KiB one.
+  for (const auto& [keys, value_bytes] :
+       {std::pair<int, std::size_t>{4, 1u << 20}, {1, 64u << 10}}) {
+    SCOPED_TRACE(std::to_string(keys) + " keys of " +
+                 std::to_string(value_bytes) + " B");
+    wal::MemDisk disk;
+    RecordingSeam seam;
+    testenv::ManualEnvironment env;
+    DurableDc dc(config, &disk, wal::FsyncPolicy::kPerCommit, &env, &seam);
+    const std::string value(value_bytes, 'v');
+    for (int i = 0; i < keys; ++i) {
+      dc.runtime->ClientUpdate(/*client=*/1, static_cast<Key>(i), value,
+                               [] {});
+    }
+    // Truncates every install log, so their bytes are what is logged since.
+    dc.durability->Snapshot(std::numeric_limits<Timestamp>::max());
+    std::string snap;
+    ASSERT_TRUE(disk.ReadAll("snap", &snap));
+    const std::size_t gate = std::max<std::size_t>(1u << 20, snap.size());
+    EXPECT_EQ(gate > (1u << 20), keys > 1);
+    const std::string small(16u << 10, 's');
+    std::size_t logged = InstallLogBytes(&disk, config.partitions_per_dc);
+    ASSERT_EQ(logged, 0u);
+    for (int i = 0; logged < gate; ++i) {
+      EXPECT_FALSE(dc.durability->SnapshotDue()) << logged << " of " << gate;
+      dc.runtime->ClientUpdate(/*client=*/1, /*key=*/0, small, [] {});
+      logged = InstallLogBytes(&disk, config.partitions_per_dc);
+    }
+    EXPECT_TRUE(dc.durability->SnapshotDue());
+  }
 }
 
 // A snapshot larger than one WAL record (wal::kMaxRecordBytes) is written as

@@ -18,15 +18,23 @@
 //      sockets where a remote update becomes visible only once both its
 //      payload and the receiver's go-ahead arrived, and causal chains stay
 //      ordered.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +60,9 @@ using geo::RemoteUpdate;
 using geo::VectorTimestamp;
 namespace gw = geo::rt::wire;
 namespace nw = net::wire;
+
+// A geo node runs on its transport's io loop, so the transport has one.
+const net::EpollTransport::Options kOneLoop{.num_io_threads = 1};
 
 // ---------------------------------------------------------------------------
 // 1. Sim-binding equivalence (pinned goldens)
@@ -422,7 +433,7 @@ bool WaitForNode(geo::rt::GeoNode& node,
 
 TEST(GeoRuntimeSeamReal, DuplicateAndGapDelayedDeliveriesOverTransport) {
   const GeoConfig config = SmallRealConfig();
-  net::EpollTransport transport;
+  net::EpollTransport transport(kOneLoop);
   geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
   node.tracker().EnableDetailedLog();
   const std::string address = node.Listen("127.0.0.1:0");
@@ -463,7 +474,7 @@ TEST(GeoRuntimeSeamReal, DuplicateAndGapDelayedDeliveriesOverTransport) {
 
 TEST(GeoRuntimeSeamReal, ReorderedCrossOriginDeliveryWaitsForDependency) {
   const GeoConfig config = SmallRealConfig();
-  net::EpollTransport transport;
+  net::EpollTransport transport(kOneLoop);
   geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
   node.tracker().EnableDetailedLog();
   const std::string address = node.Listen("127.0.0.1:0");
@@ -505,7 +516,7 @@ TEST(GeoRuntimeSeamReal, ReorderedCrossOriginDeliveryWaitsForDependency) {
 
 TEST(GeoRuntimeSeamReal, MalformedAndMisplacedFramesRejected) {
   const GeoConfig config = SmallRealConfig();
-  net::EpollTransport transport;
+  net::EpollTransport transport(kOneLoop);
   geo::rt::GeoNode node(&transport, NodeOptions(/*dc=*/0, config));
   const std::string address = node.Listen("127.0.0.1:0");
   ASSERT_NE(address, "");
@@ -551,7 +562,7 @@ struct TcpCluster {
         nodes(config.num_dcs) {
     std::vector<std::string> addresses(config.num_dcs);
     for (DatacenterId m = 0; m < config.num_dcs; ++m) {
-      transports[m] = std::make_unique<net::EpollTransport>();
+      transports[m] = std::make_unique<net::EpollTransport>(kOneLoop);
       nodes[m] = std::make_unique<geo::rt::GeoNode>(
           transports[m].get(),
           NodeOptions(m, config));
@@ -797,6 +808,121 @@ TEST(GeoRuntimeTcpE2e, FlushedBatchShipsInTheStabilizerTickOfItsTurn) {
   EXPECT_EQ(count, static_cast<std::uint64_t>(kUpdates));
   EXPECT_LT(median_us, config.theta_us)
       << "a flushed batch waited for the next stabilizer tick";
+}
+
+// One loop per node: the io loop that owns a node's sockets also runs its
+// runtime, so a 3-node deployment has one net-io thread per node and no
+// geo-loop thread at all.
+TEST(GeoRuntimeTcpE2e, EachNodeRunsOnOneIoThread) {
+  TcpCluster cluster;
+  std::map<std::string, int> threads;  // by name prefix
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    for (const char* prefix : {"net-io-", "geo-loop-"}) {
+      if (name.rfind(prefix, 0) == 0) {
+        ++threads[prefix];
+      }
+    }
+  }
+  EXPECT_EQ(threads["net-io-"], static_cast<int>(cluster.config.num_dcs));
+  EXPECT_EQ(threads["geo-loop-"], 0);
+}
+
+// A transport with several io loops cannot host a node: the node would not
+// own the threads its sockets run on. The constructor says so by type.
+TEST(GeoRuntimeTcpE2e, NodeRejectsATransportWithSeveralIoLoops) {
+  net::EpollTransport transport({.num_io_threads = 2});
+  EXPECT_THROW(geo::rt::GeoNode(&transport, NodeOptions(0, SmallRealConfig())),
+               std::invalid_argument);
+}
+
+// A TCP listener that completes handshakes but never reads: whatever is
+// sent to it piles up in the kernel buffers, then in the sender's outbox.
+struct SilentPeer {
+  int fd = -1;
+  std::string address;
+
+  SilentPeer(const SilentPeer&) = delete;
+  SilentPeer& operator=(const SilentPeer&) = delete;
+  SilentPeer() {
+    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    // Inherited by the accepted sockets: no receive-window autotuning.
+    const int rcvbuf = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
+        ::listen(fd, 8) == 0 &&
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      address = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+    }
+  }
+  ~SilentPeer() { ::close(fd); }
+};
+
+// The most a sender's kernel buffer holds (tcp_wmem's maximum).
+std::size_t MaxSendBufferBytes() {
+  std::ifstream wmem("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t min_bytes = 0;
+  std::size_t default_bytes = 0;
+  std::size_t max_bytes = 0;
+  return wmem >> min_bytes >> default_bytes >> max_bytes ? max_bytes
+                                                         : 64u << 20;
+}
+
+// A node's loop never waits on its own outbox: with dc2 never reading, the
+// payloads dc0 fans out to it outgrow the kernel buffers and the outbox's
+// capacity, yet dc0 keeps completing client ops and answering RunBlocking,
+// and dc1 keeps converging.
+TEST(GeoRuntimeTcpE2e, LoopNeverWaitsOnItsOwnOutbox) {
+  const GeoConfig config = SmallRealConfig();
+  SilentPeer dc2;
+  ASSERT_FALSE(dc2.address.empty());
+  net::EpollTransport transport0(kOneLoop);
+  net::EpollTransport transport1(kOneLoop);
+  geo::rt::GeoNode dc0(&transport0, NodeOptions(0, config));
+  geo::rt::GeoNode dc1(&transport1, NodeOptions(1, config));
+  const std::string addr0 = dc0.Listen("127.0.0.1:0");
+  const std::string addr1 = dc1.Listen("127.0.0.1:0");
+  ASSERT_TRUE(dc0.ConnectPeer(1, addr1));
+  ASSERT_TRUE(dc0.ConnectPeer(2, dc2.address));
+  ASSERT_TRUE(dc1.ConnectPeer(0, addr0));
+  dc0.Start();
+  dc1.Start();
+
+  constexpr std::size_t kValueBytes = 256u << 10;
+  const std::size_t updates =
+      (net::EpollTransport::kOutboxCapacityBytes + MaxSendBufferBytes()) /
+          kValueBytes +
+      16;
+  std::atomic<std::size_t> completed{0};
+  for (std::size_t i = 0; i < updates; ++i) {
+    dc0.ClientUpdate(/*client=*/1, static_cast<Key>(i % 4),
+                     std::string(kValueBytes, static_cast<char>('a' + i % 26)),
+                     [&completed] { completed.fetch_add(1); });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (completed.load() < updates &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // ASSERT: a loop blocked on its outbox would not answer RunBlocking below.
+  ASSERT_EQ(completed.load(), updates) << "dc0 stopped completing client ops";
+  std::size_t installed = 0;
+  dc0.RunBlocking([&] { installed = dc0.runtime().updates_installed(); });
+  EXPECT_EQ(installed, updates);
+  EXPECT_TRUE(WaitForNode(dc1, [&](const geo::rt::DatacenterRuntime& r) {
+    return r.receiver().applied_count() == updates;
+  })) << "dc1 stopped converging behind the silent peer";
+  EXPECT_EQ(dc0.send_failures(), 0u);
+  dc0.Stop();
+  dc1.Stop();
 }
 
 // ---------------------------------------------------------------------------
